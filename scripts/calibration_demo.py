@@ -35,13 +35,11 @@ def main():
     backend = SyntheticBackend(config)
     queries = make_workload(config, args.n)
 
-    agentic_correct = [
-        answers_match(backend.agentic_run(q).answer, q.ground_truth) for q in queries
-    ]
-    fallback_accuracy = float(np.mean(agentic_correct))
-    agentic_mean_s = float(
-        np.mean([backend.agentic_run(q).latency_s for q in queries])
+    agentic = [backend.agentic_run(q) for q in queries]
+    fallback_accuracy = float(
+        np.mean([answers_match(a.answer, q.ground_truth) for a, q in zip(agentic, queries)])
     )
+    agentic_mean_s = float(np.mean([a.latency_s for a in agentic]))
     print(f"agentic baseline accuracy {fallback_accuracy:.4f}, mean latency {agentic_mean_s:.2f}s")
     print("strategy,delta_peak,chosen_tau,acceptance,predicted_accuracy,analytic_speedup")
 

@@ -75,6 +75,7 @@ from .pipeline import (
     answers_match,
     expected_latency,
     process_query,
+    run_phases,
 )
 
 __version__ = "0.1.0"

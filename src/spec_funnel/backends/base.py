@@ -46,6 +46,11 @@ class Query:
             raise ValidationError("true_depth must be >= 0")
 
 
+def _check_latency(latency_s: float) -> None:
+    if not (math.isfinite(latency_s) and latency_s >= 0.0):
+        raise ValidationError("latency must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class JudgeOutput:
     """Binary tool-necessity verdict; g=0 means answerable without tools."""
@@ -56,8 +61,7 @@ class JudgeOutput:
     def __post_init__(self):
         if self.g not in (0, 1):
             raise ValidationError("judge flag must be 0 or 1")
-        if self.latency_s < 0.0:
-            raise ValidationError("latency must be >= 0")
+        _check_latency(self.latency_s)
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,7 @@ class SpeculativeAnswer:
         object.__setattr__(self, "token_logits", tuple(self.token_logits))
         if self.answer and len(self.token_logits) == 0:
             raise ValidationError("a non-empty answer requires at least one token's logits")
-        if self.latency_s < 0.0:
-            raise ValidationError("latency must be >= 0")
+        _check_latency(self.latency_s)
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,9 @@ class AgenticOutput:
         if any(a < 0.0 or b < 0.0 for a, b in costs):
             raise ValidationError("step costs must be >= 0")
         total = math.fsum(c for pair in costs for c in pair)
+        if not math.isfinite(total):
+            raise ValidationError("step costs must be finite")
+        _check_latency(self.latency_s)
         if abs(total - self.latency_s) > 1e-9:
             raise ValidationError("latency must equal the sum of step costs")
 

@@ -14,6 +14,7 @@ JSON log for offline replay.
 """
 
 import json
+import math
 import threading
 
 import requests
@@ -45,11 +46,10 @@ def parse_judge_response(body) -> JudgeOutput:
         latency = float(body["latency_s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed judge response: {exc!r}") from exc
-    if g not in (0, 1):
-        raise BackendUnavailable(f"judge flag must be 0 or 1, got {g}")
-    if latency < 0.0:
-        raise BackendUnavailable("judge latency must be >= 0")
-    return JudgeOutput(g=g, latency_s=latency)
+    try:
+        return JudgeOutput(g=g, latency_s=latency)
+    except ValidationError as exc:
+        raise BackendUnavailable(f"inconsistent judge response: {exc}") from exc
 
 
 def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
@@ -67,9 +67,16 @@ def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
         if not raw:
             raise BackendUnavailable("missing logprobs")
         try:
-            values = sorted((float(e["logprob"]) for e in raw), reverse=True)
+            values = [float(e["logprob"]) for e in raw]
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed logprob entry: {exc!r}") from exc
+        # NaN and +inf fail this comparison; -inf marks a masked token,
+        # which lies outside the support and is dropped.
+        if not all(v < math.inf for v in values):
+            raise BackendUnavailable("logprobs must not be NaN or +inf")
+        values = sorted((v for v in values if v > -math.inf), reverse=True)
+        if not values:
+            raise BackendUnavailable("no finite logprobs")
         logits.append(TokenLogits.from_raw(values[:top_logprobs]))
     if answer and not logits:
         raise BackendUnavailable("missing logprobs")

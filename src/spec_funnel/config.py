@@ -151,7 +151,6 @@ class RunConfig:
                 "frontend_workers": self.schedule.frontend_workers,
                 "agentic_workers": self.schedule.agentic_workers,
                 "mode": self.schedule.mode.value,
-                "judge_fallback_exclusive": self.schedule.judge_fallback_exclusive,
             },
             "workload": {
                 "n_queries": self.workload.n_queries,
@@ -261,11 +260,7 @@ def build_config(raw: dict) -> RunConfig:
     gate_config = _build(GateConfig, gate_raw, "gate")
 
     schedule_raw = _section(raw, "schedule")
-    _check_keys(
-        schedule_raw,
-        ("frontend_workers", "agentic_workers", "mode", "judge_fallback_exclusive"),
-        "schedule",
-    )
+    _check_keys(schedule_raw, ("frontend_workers", "agentic_workers", "mode"), "schedule")
     if "mode" in schedule_raw:
         try:
             schedule_raw = {**schedule_raw, "mode": ScheduleMode(schedule_raw["mode"])}

@@ -3,10 +3,12 @@ stateful fallback.
 
 The batch is screened in parallel waves, the tool-free subset is drafted
 and gated in parallel waves, and the residual set (gate-rejected plus
-tool-required) drains through a small pool of agentic workers. Simulated
-mode advances a virtual clock from the modeled per-call costs, so results
-are hardware independent; Measured mode runs real thread pools and reports
-wall-clock stage times.
+tool-required) drains through a small pool of agentic workers. The phases
+themselves are defined in pipeline; this module holds the two clocks, the
+schedules and the batch statistics. Simulated mode advances a virtual
+clock from the modeled per-call costs, so results are hardware
+independent; Measured mode runs each stage on a real thread pool and
+reports wall-clock stage times.
 """
 
 import heapq
@@ -17,18 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .backends.base import Backend, Query
-from .errors import BackendUnavailable, InfiniteSpeedup, ValidationError
+from .errors import InfiniteSpeedup, ValidationError
 from .gate import GateConfig
-from .pipeline import (
-    QueryOutcome,
-    QueryPath,
-    _accepted_outcome,
-    _failed_outcome,
-    _fallback_outcome,
-    _run_judge,
-    _run_speculation,
-    process_query,
-)
+from .pipeline import QueryOutcome, QueryPath, process_query, run_phases
 
 __all__ = [
     "ScheduleMode",
@@ -48,17 +41,11 @@ class ScheduleMode(str, Enum):
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Worker pool sizes and clock mode.
-
-    judge_fallback_exclusive records whether screening and fallback may
-    share a device; the staged schedule used here never overlaps them, so
-    the flag is carried for reporting and has no timing effect.
-    """
+    """Worker pool sizes and clock mode."""
 
     frontend_workers: int = 8
     agentic_workers: int = 1
     mode: ScheduleMode = ScheduleMode.SIMULATED
-    judge_fallback_exclusive: bool = False
 
     def __post_init__(self):
         if not isinstance(self.mode, ScheduleMode):
@@ -153,11 +140,12 @@ def _list_schedule_makespan(durations, workers: int) -> float:
     return max(busy_until for busy_until, _ in heap)
 
 
-def _build_stats(
-    outcomes, frontend_s, fallback_s, baseline_s, batch_size
-) -> FunnelStats:
+def _build_stats(outcomes, stage_s, baseline_s) -> FunnelStats:
+    batch_size = len(outcomes)
     n_toolfree = sum(1 for o in outcomes if o.path is not QueryPath.TOOL_REQUIRED_FALLBACK)
     n_accepted = sum(1 for o in outcomes if o.path is QueryPath.SPECULATION_ACCEPTED)
+    frontend_s = stage_s["judge"] + stage_s["speculate"]
+    fallback_s = stage_s["agentic"]
     batch_makespan = frontend_s + fallback_s
     throughput = batch_size / batch_makespan if batch_makespan > 0.0 else None
     speedup = (
@@ -181,14 +169,42 @@ def _build_stats(
     )
 
 
-def _baseline_makespan(queries, schedule: ScheduleConfig, backend: Backend) -> float:
-    durations = []
-    for query in queries:
-        try:
-            durations.append(backend.agentic_run(query).latency_s)
-        except BackendUnavailable:
-            durations.append(0.0)
-    return _list_schedule_makespan(durations, schedule.agentic_workers)
+def _virtual_stage_s(outcomes, schedule: ScheduleConfig) -> dict[str, float]:
+    """Stage makespans on the virtual clock, from each outcome's reported costs."""
+    toolfree = [
+        o.latency.speculate_s for o in outcomes if o.path is not QueryPath.TOOL_REQUIRED_FALLBACK
+    ]
+    residual = [o.latency.agentic_s for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
+    return {
+        "judge": _wave_makespan([o.latency.judge_s for o in outcomes], schedule.frontend_workers),
+        "speculate": _wave_makespan(toolfree, schedule.frontend_workers),
+        "agentic": _list_schedule_makespan(residual, schedule.agentic_workers),
+    }
+
+
+def _wall_clock(schedule: ScheduleConfig):
+    """Measured-mode stage runner and the stage wall times it fills in.
+
+    Each non-empty stage runs on its own thread pool, sized for the
+    front end or the agentic drain, and is timed with perf_counter.
+    """
+    stage_s = {"judge": 0.0, "speculate": 0.0, "agentic": 0.0}
+
+    def run_stage(stage, fn, items):
+        if not items:
+            return []
+        workers = schedule.agentic_workers if stage == "agentic" else schedule.frontend_workers
+        start = time.perf_counter()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, items))
+        stage_s[stage] = time.perf_counter() - start
+        return results
+
+    return run_stage, stage_s
+
+
+def _result(outcomes, stage_s, baseline_s) -> tuple[list[QueryOutcome], FunnelStats]:
+    return sorted(outcomes, key=lambda o: o.query_id), _build_stats(outcomes, stage_s, baseline_s)
 
 
 def serve_batch(
@@ -201,12 +217,19 @@ def serve_batch(
 
     Outcomes are identical to sequentially applying process_query to each
     query; scheduling affects stage makespans only. The returned outcome
-    list is sorted by query id.
+    list is sorted by query id. In simulated mode the speedup is taken
+    against a serve_batch_baseline run of the same batch.
     """
     _check_batch(queries)
     if schedule.mode is ScheduleMode.MEASURED:
-        return _serve_measured(queries, gate_config, schedule, backend)
-    return _serve_simulated(queries, gate_config, schedule, backend)
+        run_stage, stage_s = _wall_clock(schedule)
+        outcomes = run_phases(queries, gate_config, backend, run_stage)
+        return _result(outcomes, stage_s, None)
+    # A virtual schedule does not depend on call order, so each query runs
+    # through all its phases before the next one starts.
+    outcomes = [process_query(query, gate_config, backend) for query in queries]
+    _, baseline = serve_batch_baseline(queries, schedule, backend)
+    return _result(outcomes, _virtual_stage_s(outcomes, schedule), baseline.batch_makespan_s)
 
 
 def _check_batch(queries) -> None:
@@ -215,78 +238,6 @@ def _check_batch(queries) -> None:
     ids = {q.id for q in queries}
     if len(ids) != len(queries):
         raise ValidationError("query ids must be unique within a batch")
-
-
-def _serve_simulated(queries, gate_config, schedule, backend):
-    outcomes = [process_query(query, gate_config, backend) for query in queries]
-    judge_s = _wave_makespan([o.latency.judge_s for o in outcomes], schedule.frontend_workers)
-    toolfree = [o for o in outcomes if o.path is not QueryPath.TOOL_REQUIRED_FALLBACK]
-    speculate_s = (
-        _wave_makespan([o.latency.speculate_s for o in toolfree], schedule.frontend_workers)
-        if toolfree
-        else 0.0
-    )
-    residual = [o for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
-    fallback_s = _list_schedule_makespan(
-        [o.latency.agentic_s for o in residual], schedule.agentic_workers
-    )
-    baseline_s = _baseline_makespan(queries, schedule, backend)
-    stats = _build_stats(outcomes, judge_s + speculate_s, fallback_s, baseline_s, len(queries))
-    outcomes.sort(key=lambda o: o.query_id)
-    return outcomes, stats
-
-
-def _serve_measured(queries, gate_config, schedule, backend):
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=schedule.frontend_workers) as pool:
-        judged = list(pool.map(lambda q: _run_judge(backend, q), queries))
-    judge_wall = time.perf_counter() - start
-
-    toolfree = [(query, js) for query, (g, js) in zip(queries, judged) if g == 0]
-    start = time.perf_counter()
-    if toolfree:
-        with ThreadPoolExecutor(max_workers=schedule.frontend_workers) as pool:
-            drafted = list(
-                pool.map(lambda item: _run_speculation(backend, item[0], gate_config), toolfree)
-            )
-    else:
-        drafted = []
-    speculate_wall = time.perf_counter() - start
-
-    by_id = {}
-    residual = []
-    draft_state = {query.id: result for (query, _), result in zip(toolfree, drafted)}
-    for query, (g, judge_s) in zip(queries, judged):
-        if g == 0:
-            draft, decision, speculate_s = draft_state[query.id]
-            if decision is not None and decision.accepted:
-                by_id[query.id] = _accepted_outcome(query, judge_s, draft, decision, speculate_s)
-                continue
-            residual.append((query, g, judge_s, decision, speculate_s))
-        else:
-            residual.append((query, g, judge_s, None, 0.0))
-
-    start = time.perf_counter()
-    if residual:
-        with ThreadPoolExecutor(max_workers=schedule.agentic_workers) as pool:
-            drained = list(pool.map(lambda item: _drain_one(backend, item), residual))
-        for outcome in drained:
-            by_id[outcome.query_id] = outcome
-    fallback_wall = time.perf_counter() - start
-
-    outcomes = [by_id[query.id] for query in queries]
-    stats = _build_stats(outcomes, judge_wall + speculate_wall, fallback_wall, None, len(queries))
-    outcomes.sort(key=lambda o: o.query_id)
-    return outcomes, stats
-
-
-def _drain_one(backend, item) -> QueryOutcome:
-    query, g, judge_s, decision, speculate_s = item
-    try:
-        agentic = backend.agentic_run(query)
-    except BackendUnavailable as exc:
-        return _failed_outcome(query, g, judge_s, decision, speculate_s, str(exc))
-    return _fallback_outcome(query, g, judge_s, decision, speculate_s, agentic)
 
 
 def serve_batch_baseline(
@@ -299,16 +250,9 @@ def serve_batch_baseline(
     """
     _check_batch(queries)
     if schedule.mode is ScheduleMode.MEASURED:
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=schedule.agentic_workers) as pool:
-            outcomes = list(pool.map(lambda q: _drain_one(backend, (q, 1, 0.0, None, 0.0)), queries))
-        fallback_wall = time.perf_counter() - start
-        stats = _build_stats(outcomes, 0.0, fallback_wall, None, len(queries))
-    else:
-        outcomes = [_drain_one(backend, (q, 1, 0.0, None, 0.0)) for q in queries]
-        fallback_s = _list_schedule_makespan(
-            [o.latency.agentic_s for o in outcomes], schedule.agentic_workers
-        )
-        stats = _build_stats(outcomes, 0.0, fallback_s, fallback_s, len(queries))
-    outcomes = sorted(outcomes, key=lambda o: o.query_id)
-    return outcomes, stats
+        run_stage, stage_s = _wall_clock(schedule)
+        outcomes = run_phases(queries, None, backend, run_stage, bypass=False)
+        return _result(outcomes, stage_s, None)
+    outcomes = run_phases(queries, None, backend, bypass=False)
+    stage_s = _virtual_stage_s(outcomes, schedule)
+    return _result(outcomes, stage_s, stage_s["agentic"])

@@ -1,17 +1,20 @@
-"""Per-query orchestration of the four serving phases.
+"""The four serving phases, defined once for every clock and schedule.
 
 Phase I asks the large model whether tools are needed; tool-required
 queries go straight to the agentic loop. Phase II drafts a tool-free
 answer, Phase III gates it on answer confidence, and Phase IV runs the
-full agentic loop for everything the gate rejects. Every phase's latency
-is recorded separately.
+full agentic loop for everything the gate rejects. run_phases runs a batch
+through them as three stages (judge, speculate, agentic) and leaves how
+each stage's calls are spread over workers and timed to its stage runner;
+process_query is a batch of one. Every phase's latency is recorded
+separately.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .backends.base import AgenticOutput, Backend, Query, SpeculativeAnswer
+from .backends.base import Backend, Query
 from .errors import BackendUnavailable, ValidationError
 from .gate import GateConfig, GateDecision, gate
 
@@ -19,6 +22,7 @@ __all__ = [
     "QueryPath",
     "LatencyBreakdown",
     "QueryOutcome",
+    "run_phases",
     "process_query",
     "expected_latency",
     "answers_match",
@@ -38,8 +42,9 @@ class LatencyBreakdown:
     agentic_s: float = 0.0
 
     def __post_init__(self):
-        if min(self.judge_s, self.speculate_s, self.agentic_s) < 0.0:
-            raise ValidationError("phase latencies must be >= 0")
+        phases = (self.judge_s, self.speculate_s, self.agentic_s)
+        if not all(math.isfinite(v) and v >= 0.0 for v in phases):
+            raise ValidationError("phase latencies must be finite and >= 0")
 
     @property
     def total_s(self) -> float:
@@ -74,90 +79,103 @@ class QueryOutcome:
                 raise ValidationError("tool-required path never speculates")
 
 
-def _run_judge(backend: Backend, query: Query) -> tuple[int, float]:
+def _judge(backend: Backend, query: Query) -> tuple[int, float]:
     """Phase I. A failed judge call conservatively routes to fallback."""
     try:
         output = backend.judge(query)
-        return output.g, output.latency_s
     except BackendUnavailable:
         return 1, 0.0
+    return output.g, output.latency_s
 
 
-def _run_speculation(
+_NO_DRAFT = ("", None, 0.0)
+
+
+def _draft(
     backend: Backend, query: Query, config: GateConfig
-) -> tuple[SpeculativeAnswer | None, GateDecision | None, float]:
+) -> tuple[str, GateDecision | None, float]:
     """Phases II and III. A failed draft leaves the gate decision absent."""
     try:
         draft = backend.speculate(query)
     except BackendUnavailable:
-        return None, None, 0.0
-    return draft, gate(draft.token_logits, config), draft.latency_s
+        return _NO_DRAFT
+    return draft.answer, gate(draft.token_logits, config), draft.latency_s
 
 
-def _accepted_outcome(query, judge_s, draft, decision, speculate_s) -> QueryOutcome:
-    latency = LatencyBreakdown(judge_s=judge_s, speculate_s=speculate_s)
+def _fallback(backend: Backend, query: Query) -> tuple[str, float, str | None]:
+    """Phase IV. A failed agentic loop leaves no answer and records the error."""
+    try:
+        output = backend.agentic_run(query)
+    except BackendUnavailable as exc:
+        return "", 0.0, str(exc)
+    return output.answer, output.latency_s, None
+
+
+def _outcome(query, g, judge_s, draft_answer, decision, speculate_s, fallback) -> QueryOutcome:
+    """Assemble one query's outcome; fallback is None for an accepted draft."""
+    if fallback is None:
+        path, answer, agentic_s, error = QueryPath.SPECULATION_ACCEPTED, draft_answer, 0.0, None
+    else:
+        path = QueryPath.TOOL_REQUIRED_FALLBACK if g == 1 else QueryPath.SPECULATION_REJECTED_FALLBACK
+        answer, agentic_s, error = fallback
+    latency = LatencyBreakdown(judge_s=judge_s, speculate_s=speculate_s, agentic_s=agentic_s)
     return QueryOutcome(
         query_id=query.id,
-        answer=draft.answer,
-        path=QueryPath.SPECULATION_ACCEPTED,
-        gate=decision,
-        latency=latency,
-        total_latency_s=latency.total_s,
-        correct=_correctness(draft.answer, query),
-    )
-
-
-def _fallback_outcome(query, g, judge_s, decision, speculate_s, agentic: AgenticOutput) -> QueryOutcome:
-    path = QueryPath.TOOL_REQUIRED_FALLBACK if g == 1 else QueryPath.SPECULATION_REJECTED_FALLBACK
-    latency = LatencyBreakdown(
-        judge_s=judge_s, speculate_s=speculate_s, agentic_s=agentic.latency_s
-    )
-    return QueryOutcome(
-        query_id=query.id,
-        answer=agentic.answer,
+        answer=answer,
         path=path,
         gate=decision if g == 0 else None,
         latency=latency,
         total_latency_s=latency.total_s,
-        correct=_correctness(agentic.answer, query),
-    )
-
-
-def _failed_outcome(query, g, judge_s, decision, speculate_s, error: str) -> QueryOutcome:
-    path = QueryPath.TOOL_REQUIRED_FALLBACK if g == 1 else QueryPath.SPECULATION_REJECTED_FALLBACK
-    latency = LatencyBreakdown(judge_s=judge_s, speculate_s=speculate_s)
-    return QueryOutcome(
-        query_id=query.id,
-        answer="",
-        path=path,
-        gate=decision if g == 0 else None,
-        latency=latency,
-        total_latency_s=latency.total_s,
-        correct=None,
+        correct=(
+            None
+            if error is not None or query.ground_truth is None
+            else answers_match(answer, query.ground_truth)
+        ),
         error=error,
     )
 
 
-def _correctness(answer: str, query: Query) -> bool | None:
-    if query.ground_truth is None:
-        return None
-    return answers_match(answer, query.ground_truth)
+def _in_order(stage: str, fn, items: list) -> list:
+    """Stage runner that applies fn to each item in turn on the calling thread."""
+    return [fn(item) for item in items]
+
+
+def run_phases(
+    queries, gate_config: GateConfig | None, backend: Backend, run_stage=_in_order, bypass=True
+) -> list[QueryOutcome]:
+    """Run a batch through the four phases, one stage at a time.
+
+    run_stage(stage, fn, queries) applies fn to every query of one stage,
+    "judge", "speculate" or "agentic", and returns the results in order;
+    it decides how the calls are spread over workers and timed. Judge and
+    draft failures degrade to fallback, and an agentic failure becomes the
+    outcome's error. With bypass off, nothing is judged or drafted and
+    every query takes the tool-required path; gate_config is then unused.
+    Outcomes come back in input order.
+    """
+    queries = list(queries)
+    if bypass:
+        verdicts = run_stage("judge", lambda q: _judge(backend, q), queries)
+    else:
+        verdicts = [(1, 0.0)] * len(queries)
+    toolfree = [i for i, (g, _) in enumerate(verdicts) if g == 0]
+    drafted = run_stage(
+        "speculate", lambda q: _draft(backend, q, gate_config), [queries[i] for i in toolfree]
+    )
+    drafts = dict(zip(toolfree, drafted))
+    accepted = {i for i, (_, decision, _) in drafts.items() if decision and decision.accepted}
+    residual = [i for i in range(len(queries)) if i not in accepted]
+    fallen = run_stage("agentic", lambda q: _fallback(backend, q), [queries[i] for i in residual])
+    fallbacks = dict(zip(residual, fallen))
+    return [
+        _outcome(query, *verdicts[i], *drafts.get(i, _NO_DRAFT), fallbacks.get(i))
+        for i, query in enumerate(queries)
+    ]
 
 
 def process_query(query: Query, gate_config: GateConfig, backend: Backend) -> QueryOutcome:
     """Run one query through all four phases and record the trace."""
-    g, judge_s = _run_judge(backend, query)
-    draft = decision = None
-    speculate_s = 0.0
-    if g == 0:
-        draft, decision, speculate_s = _run_speculation(backend, query, gate_config)
-        if decision is not None and decision.accepted:
-            return _accepted_outcome(query, judge_s, draft, decision, speculate_s)
-    try:
-        agentic = backend.agentic_run(query)
-    except BackendUnavailable as exc:
-        return _failed_outcome(query, g, judge_s, decision, speculate_s, str(exc))
-    return _fallback_outcome(query, g, judge_s, decision, speculate_s, agentic)
+    return run_phases([query], gate_config, backend)[0]
 
 
 def expected_latency(

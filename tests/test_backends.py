@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from spec_funnel.backends.base import AgenticOutput, Query, substream
+from spec_funnel.backends.base import (
+    AgenticOutput,
+    JudgeOutput,
+    Query,
+    SpeculativeAnswer,
+    substream,
+)
 from spec_funnel.backends.synthetic import (
     SyntheticBackend,
     SyntheticConfig,
@@ -141,6 +147,28 @@ class TestAgenticRun:
     def test_inconsistent_latency_rejected(self):
         with pytest.raises(ValidationError):
             AgenticOutput(answer="A", depth=0, step_costs=((1.0, 0.0),), latency_s=2.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteLatencyRejected:
+    @pytest.mark.parametrize("latency", NON_FINITE)
+    def test_judge_output(self, latency):
+        with pytest.raises(ValidationError):
+            JudgeOutput(g=0, latency_s=latency)
+
+    @pytest.mark.parametrize("latency", NON_FINITE)
+    def test_speculative_answer(self, latency):
+        with pytest.raises(ValidationError):
+            SpeculativeAnswer(answer="", token_logits=(), latency_s=latency)
+
+    @pytest.mark.parametrize("cost", NON_FINITE)
+    def test_agentic_output(self, cost):
+        with pytest.raises(ValidationError):
+            AgenticOutput.from_steps("A", [(1.0, cost), (1.0, 0.0)])
+        with pytest.raises(ValidationError):
+            AgenticOutput(answer="A", depth=0, step_costs=((1.0, 0.0),), latency_s=cost)
 
 
 class TestWorkloads:

@@ -2,6 +2,8 @@
 scheduling, analytic speedup, and scheduler transparency."""
 
 import math
+import threading
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,8 @@ from spec_funnel.backends.synthetic import (
     make_quota_workload,
     make_workload,
 )
-from spec_funnel.errors import InfiniteSpeedup, ValidationError
+from spec_funnel.backends.remote import parse_judge_response
+from spec_funnel.errors import BackendUnavailable, InfiniteSpeedup, ValidationError
 from spec_funnel.funnel import (
     FunnelStats,
     ScheduleConfig,
@@ -171,6 +174,87 @@ class TestServeBatch:
             queries, GateConfig(tau=0.9), ScheduleConfig(frontend_workers=800), backend
         )
         assert stats.speedup == pytest.approx(speedup_model(0.8, 0.71), rel=0.05)
+
+
+class FaultyBackend:
+    """Fails each phase on chosen query ids and counts every call per phase."""
+
+    def __init__(self, inner, fail):
+        self.inner = inner
+        self.fail = fail
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def _call(self, phase, method, query):
+        with self._lock:
+            self.calls[phase] += 1
+        if query.id in self.fail.get(phase, ()):
+            raise BackendUnavailable(f"{phase} down for {query.id}")
+        return getattr(self.inner, method)(query)
+
+    def judge(self, query):
+        return self._call("judge", "judge", query)
+
+    def speculate(self, query):
+        return self._call("speculate", "speculate", query)
+
+    def agentic_run(self, query):
+        return self._call("agentic", "agentic_run", query)
+
+
+class TestServeBatchUnderFailures:
+    @pytest.fixture
+    def setup(self, synthetic_config):
+        inner = SyntheticBackend(synthetic_config)
+        queries = make_workload(synthetic_config, 40)
+        toolfree = [q.id for q in queries if inner.judge(q).g == 0]
+        fail = {
+            "judge": {toolfree[0], queries[1].id},
+            "speculate": set(toolfree[1:4]),
+            "agentic": {q.id for q in queries[::5]},
+        }
+        return inner, queries, fail
+
+    def test_measured_mode_matches_simulated_outcomes(self, setup, gate_config):
+        inner, queries, fail = setup
+        served = {}
+        for mode in ScheduleMode:
+            backend = FaultyBackend(inner, fail)
+            schedule = ScheduleConfig(frontend_workers=4, agentic_workers=2, mode=mode)
+            served[mode], stats = serve_batch(queries, gate_config, schedule, backend)
+            assert backend.calls["judge"] == len(queries)
+            assert backend.calls["speculate"] == stats.n_toolfree
+            if mode is ScheduleMode.MEASURED:
+                assert backend.calls["agentic"] == stats.n_residual
+        outcomes = served[ScheduleMode.SIMULATED]
+        assert served[ScheduleMode.MEASURED] == outcomes
+        assert any(o.error for o in outcomes)
+        assert any(
+            o.path is QueryPath.SPECULATION_REJECTED_FALLBACK and o.gate is None for o in outcomes
+        )
+
+    def test_measured_baseline_drains_everything(self, setup):
+        inner, queries, fail = setup
+        backend = FaultyBackend(inner, fail)
+        schedule = ScheduleConfig(agentic_workers=2, mode=ScheduleMode.MEASURED)
+        outcomes, stats = serve_batch_baseline(queries, schedule, backend)
+        assert stats.frontend_makespan_s == 0.0
+        assert all(o.path is QueryPath.TOOL_REQUIRED_FALLBACK for o in outcomes)
+        assert backend.calls == Counter(agentic=len(queries))
+        assert sum(1 for o in outcomes if o.error) == len(fail["agentic"])
+
+    def test_nan_judge_latency_falls_back(self, synthetic_config, gate_config):
+        class NanJudgeBackend(SyntheticBackend):
+            def judge(self, query):
+                return parse_judge_response({"g": 0, "latency_s": math.nan})
+
+        queries = make_workload(synthetic_config, 20)
+        outcomes, stats = serve_batch(
+            queries, gate_config, ScheduleConfig(), NanJudgeBackend(synthetic_config)
+        )
+        assert all(o.path is QueryPath.TOOL_REQUIRED_FALLBACK for o in outcomes)
+        assert all(o.latency.judge_s == 0.0 for o in outcomes)
+        assert math.isfinite(stats.batch_makespan_s) and stats.throughput_qps is not None
 
 
 class TestFunnelStatsValidation:

@@ -1,6 +1,8 @@
 """Routing, latency accounting, and answer matching for the per-query
 pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, ma
 from spec_funnel.errors import BackendUnavailable, ValidationError
 from spec_funnel.gate import GateConfig
 from spec_funnel.pipeline import (
+    LatencyBreakdown,
     QueryPath,
     answers_match,
     expected_latency,
@@ -124,6 +127,14 @@ class TestRouting:
         assert outcome.path is QueryPath.SPECULATION_REJECTED_FALLBACK
         assert outcome.gate is not None and not outcome.gate.accepted
         assert "empty_answer" in outcome.gate.diagnostics
+
+
+class TestLatencyBreakdown:
+    @pytest.mark.parametrize("latency", [math.nan, math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_phase(self, latency):
+        for phase in ("judge_s", "speculate_s", "agentic_s"):
+            with pytest.raises(ValidationError):
+                LatencyBreakdown(**{phase: latency})
 
 
 class TestMonteCarloConsistency:

@@ -2,6 +2,7 @@
 three routes, error contracts, exchange logging, and replay round-trips."""
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -14,6 +15,7 @@ from spec_funnel.backends.remote import (
     RemoteBackend,
     iter_exchanges,
     parse_agentic_response,
+    parse_judge_response,
     parse_speculate_response,
     replay_speculations,
 )
@@ -224,3 +226,33 @@ class TestParserEdgeCases:
     def test_empty_answer_with_no_tokens_allowed(self):
         draft = parse_speculate_response({"answer": "", "tokens": [], "latency_s": 0.1}, 8)
         assert draft.answer == "" and draft.token_logits == ()
+
+    def test_masked_logprobs_dropped(self):
+        body = speculate_body(n_logprobs=5)
+        masked = json.loads(json.dumps(body))
+        masked["tokens"][0]["top_logprobs"].insert(2, {"token": "m0", "logprob": -math.inf})
+        masked["tokens"][1]["top_logprobs"].append({"token": "m1", "logprob": -math.inf})
+        assert parse_speculate_response(masked, 8) == parse_speculate_response(body, 8)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_or_positive_inf_logprob_unavailable(self, value):
+        body = speculate_body(n_logprobs=5)
+        body["tokens"][1]["top_logprobs"][3]["logprob"] = value
+        with pytest.raises(BackendUnavailable):
+            parse_speculate_response(body, 3)
+
+    def test_token_with_only_masked_logprobs_unavailable(self):
+        body = speculate_body(n_logprobs=3)
+        for entry in body["tokens"][0]["top_logprobs"]:
+            entry["logprob"] = -math.inf
+        with pytest.raises(BackendUnavailable):
+            parse_speculate_response(body, 8)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_latency_unavailable(self, value):
+        with pytest.raises(BackendUnavailable):
+            parse_judge_response({"g": 0, "latency_s": value})
+        with pytest.raises(BackendUnavailable):
+            parse_speculate_response({**speculate_body(), "latency_s": value}, 8)
+        with pytest.raises(BackendUnavailable):
+            parse_agentic_response({"answer": "B", "depth": 0, "step_costs": [[value, 0.0]]}, 5)
