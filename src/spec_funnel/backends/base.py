@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from ..errors import ValidationError
 from ..gate import TokenLogits
@@ -140,4 +141,7 @@ def substream(seed: int, *keys: object) -> np.random.Generator:
     """
     material = "\x1f".join([str(seed), *(str(k) for k in keys)]).encode()
     digest = hashlib.sha256(material).digest()
-    return np.random.default_rng(int.from_bytes(digest[:16], "little"))
+    # The same stream as default_rng(int.from_bytes(digest[:16], "little")):
+    # SeedSequence pads its entropy to four 32-bit words with zeros, so the
+    # four little-endian words of the digest prefix seed it identically.
+    return Generator(PCG64(SeedSequence(np.frombuffer(digest[:16], "<u4"))))

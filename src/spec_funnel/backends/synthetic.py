@@ -8,7 +8,9 @@ genuinely stateful because each step's stream is keyed on the previous
 step's observation.
 """
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -143,11 +145,26 @@ def _int_weights(weights, name) -> dict[int, float]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _weight_cdf(table: tuple[tuple[int, float], ...]) -> tuple[list[int], list[float]]:
+    values, weights = zip(*sorted(table))
+    probs = np.array([float(w) for w in weights], dtype=np.float64)
+    if not (probs.min() >= 0.0 and probs.sum() > 0.0):
+        raise ValidationError("weights must be >= 0 with positive total mass")
+    # the cumulative distribution Generator.choice builds from p, step for step
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return list(values), cdf.tolist()
+
+
 def sample_weighted(rng: np.random.Generator, weights: Mapping[int, float]) -> int:
-    """Draw one key from an integer-keyed weight table."""
-    values = sorted(weights)
-    probs = np.array([float(weights[v]) for v in values], dtype=np.float64)
-    return int(rng.choice(values, p=probs / probs.sum()))
+    """Draw one key from an integer-keyed weight table.
+
+    Draws exactly what rng.choice(sorted keys, p=normalized weights) draws:
+    one uniform double, located in the cumulative distribution.
+    """
+    values, cdf = _weight_cdf(tuple(weights.items()))
+    return int(values[bisect_right(cdf, rng.random())])
 
 
 def _tail_stats(width: int) -> tuple[np.ndarray, float, float]:
@@ -216,8 +233,11 @@ class SyntheticBackend:
         self.config = config
 
     def _latents(self, query: Query) -> tuple[bool, int]:
-        # Always draw both latents so the stream layout never depends on
-        # which Query fields happen to be populated.
+        # A fully pinned query needs no stream. Otherwise both latents are
+        # drawn, so one latent's value never depends on whether the other
+        # is pinned.
+        if query.true_requires_tools is not None and query.true_depth is not None:
+            return query.true_requires_tools, query.true_depth
         rng = substream(self.config.seed, query.id, "latent")
         requires = bool(rng.random() < self.config.p_tool_required)
         depth = sample_weighted(rng, self.config.depth_weights)

@@ -51,17 +51,22 @@ class ScoreSample:
 
 @dataclass(frozen=True)
 class ScoreCollection:
-    """Gate samples for the tool-free pool, plus screening bookkeeping."""
+    """Gate samples for the tool-free pool, plus screening bookkeeping.
+
+    n_failed counts tool-free queries whose draft call failed; they carry no
+    sample and, like a draft the gate rejects, bypass nothing.
+    """
 
     samples: tuple[ScoreSample, ...]
     n_tool_required: int
     mean_judge_s: float
     mean_speculate_s: float
     token_scores: tuple[tuple[float, ...], ...]
+    n_failed: int = 0
 
     @property
     def n_total(self) -> int:
-        return len(self.samples) + self.n_tool_required
+        return len(self.samples) + self.n_tool_required + self.n_failed
 
     @property
     def beta_hat(self) -> float:
@@ -108,7 +113,9 @@ def collect_scores(
     """Score every tool-free query once; no thresholding, no fallback.
 
     Queries the judge screens as tool-required are excluded from the sample
-    list and counted separately. All queries must carry ground truth.
+    list and counted separately, as is a failed judge call; a failed draft
+    call is skipped and counted in n_failed. All queries must carry ground
+    truth.
     """
     if not queries:
         raise ValidationError("need at least one query")
@@ -119,6 +126,7 @@ def collect_scores(
     judge_latencies = []
     speculate_latencies = []
     n_tool_required = 0
+    n_failed = 0
     for query in queries:
         try:
             judged = backend.judge(query)
@@ -129,7 +137,11 @@ def collect_scores(
         if judged.g == 1:
             n_tool_required += 1
             continue
-        draft = backend.speculate(query)
+        try:
+            draft = backend.speculate(query)
+        except BackendUnavailable:
+            n_failed += 1
+            continue
         speculate_latencies.append(draft.latency_s)
         decision = gate(draft.token_logits, gate_config)
         samples.append(
@@ -147,6 +159,7 @@ def collect_scores(
         mean_judge_s=float(np.mean(judge_latencies)) if judge_latencies else 0.0,
         mean_speculate_s=float(np.mean(speculate_latencies)) if speculate_latencies else 0.0,
         token_scores=tuple(token_scores),
+        n_failed=n_failed,
     )
 
 

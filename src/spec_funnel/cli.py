@@ -201,16 +201,29 @@ def cmd_run(config: RunConfig, out: str) -> int:
 
 
 def _agentic_reference(workload, backend):
-    """Run the agentic loop once per query: fallback accuracy and mean cost."""
+    """Run the agentic loop once per query: fallback accuracy, mean cost and
+    the number of failed loops, which count in neither."""
     correct = []
     latencies = []
+    failures = []
     for query in workload:
-        output = backend.agentic_run(query)
+        try:
+            output = backend.agentic_run(query)
+        except BackendUnavailable as exc:
+            failures.append(str(exc))
+            continue
         latencies.append(output.latency_s)
         if query.ground_truth is not None:
             correct.append(answers_match(output.answer, query.ground_truth))
+    if failures and not latencies:
+        raise BackendUnavailable(f"every agentic run failed; first error: {failures[0]}")
     accuracy = float(np.mean(correct)) if correct else 0.0
-    return accuracy, _mean(latencies)
+    return accuracy, _mean(latencies), len(failures)
+
+
+def _warn_failed(command: str, n_failed: int) -> None:
+    if n_failed:
+        print(f"{command}: warning: {n_failed} backend calls failed and were left out", file=sys.stderr)
 
 
 def cmd_calibrate(config: RunConfig, out: str) -> int:
@@ -221,7 +234,8 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
     collection = cal.collect_scores(workload, config.gate, backend)
     if not collection.samples:
         raise DegenerateDistribution("screening left no tool-free queries to calibrate on")
-    fallback_accuracy, agentic_mean_s = _agentic_reference(workload, backend)
+    fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
+    _warn_failed("calibrate", collection.n_failed + n_agentic_failed)
     costs = cal.CostSummary(
         judge_s=collection.mean_judge_s,
         speculate_s=collection.mean_speculate_s,
@@ -334,7 +348,8 @@ def _ablate_threshold(config, out_dir, backend) -> Path:
     collection = cal.collect_scores(workload, config.gate, backend)
     if not collection.samples:
         raise DegenerateDistribution("screening left no tool-free queries to sweep")
-    fallback_accuracy, agentic_mean_s = _agentic_reference(workload, backend)
+    fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
+    _warn_failed("ablate threshold", collection.n_failed + n_agentic_failed)
     costs = cal.CostSummary(collection.mean_judge_s, collection.mean_speculate_s, agentic_mean_s)
     scores = [s.score for s in collection.samples]
     taus = (
@@ -377,17 +392,24 @@ def _ablate_batch_size(config, out_dir, backend) -> Path:
 
 def _ablate_top_k(config, out_dir, backend) -> Path:
     workload = _build_workload(config)
-    fallback_accuracy, _ = _agentic_reference(workload, backend)
+    fallback_accuracy, _, n_failed = _agentic_reference(workload, backend)
     dumps = {}
     labels = {}
     n_toolfree = 0
     for query in workload:
-        if backend.judge(query).g == 1:
+        # as in collect_scores: a failed judge screens tool-required, a
+        # failed draft is skipped
+        try:
+            if backend.judge(query).g == 1:
+                continue
+            draft = backend.speculate(query)
+        except BackendUnavailable:
+            n_failed += 1
             continue
         n_toolfree += 1
-        draft = backend.speculate(query)
         dumps[query.id] = draft.token_logits
         labels[query.id] = answers_match(draft.answer, query.ground_truth)
+    _warn_failed("ablate top_k", n_failed)
     if not dumps:
         raise DegenerateDistribution("screening left no tool-free queries to rescore")
     beta_hat = n_toolfree / len(workload)

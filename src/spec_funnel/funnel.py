@@ -7,7 +7,9 @@ tool-required) drains through a small pool of agentic workers. The phases
 themselves are defined in pipeline; this module holds the two clocks, the
 schedules and the batch statistics. Simulated mode advances a virtual
 clock from the modeled per-call costs, so results are hardware
-independent; Measured mode runs each stage on a real thread pool and
+independent; its bypass-off baseline reuses the agentic cost of every
+query the funnel did not accept and runs the agentic loop again only for
+the accepted ones. Measured mode runs each stage on a real thread pool and
 reports wall-clock stage times.
 """
 
@@ -218,7 +220,9 @@ def serve_batch(
     Outcomes are identical to sequentially applying process_query to each
     query; scheduling affects stage makespans only. The returned outcome
     list is sorted by query id. In simulated mode the speedup is taken
-    against a serve_batch_baseline run of the same batch.
+    against the makespan serve_batch_baseline reports for the same batch;
+    that baseline reuses the residual queries' agentic costs, so only the
+    accepted queries call agentic_run a second time.
     """
     _check_batch(queries)
     if schedule.mode is ScheduleMode.MEASURED:
@@ -228,8 +232,26 @@ def serve_batch(
     # A virtual schedule does not depend on call order, so each query runs
     # through all its phases before the next one starts.
     outcomes = [process_query(query, gate_config, backend) for query in queries]
-    _, baseline = serve_batch_baseline(queries, schedule, backend)
-    return _result(outcomes, _virtual_stage_s(outcomes, schedule), baseline.batch_makespan_s)
+    baseline_s = _baseline_s(queries, outcomes, schedule, backend)
+    return _result(outcomes, _virtual_stage_s(outcomes, schedule), baseline_s)
+
+
+def _baseline_s(queries, outcomes, schedule: ScheduleConfig, backend: Backend) -> float:
+    """serve_batch_baseline's makespan, reusing the funnel run's agentic costs.
+
+    Every query the funnel did not accept already ran the agentic loop, so
+    only the accepted ones run it again. The durations are scheduled in
+    input order, as serve_batch_baseline schedules them, so the makespan is
+    bit-identical. A residual query whose agentic loop failed counts 0.0,
+    as a failed loop does in serve_batch_baseline, and is not retried.
+    """
+    accepted = [q for q, o in zip(queries, outcomes) if o.path is QueryPath.SPECULATION_ACCEPTED]
+    rerun = iter(run_phases(accepted, None, backend, bypass=False))
+    durations = [
+        (next(rerun) if o.path is QueryPath.SPECULATION_ACCEPTED else o).latency.agentic_s
+        for o in outcomes
+    ]
+    return _list_schedule_makespan(durations, schedule.agentic_workers)
 
 
 def _check_batch(queries) -> None:

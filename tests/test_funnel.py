@@ -295,3 +295,40 @@ class TestFunnelStatsValidation:
                 baseline_makespan_s=None,
                 speedup=None,
             )
+
+
+class TestSimulatedBaselineReuse:
+    """Simulated serve_batch takes the baseline's residual costs from its own
+    outcomes and reruns the agentic loop only for the accepted queries."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 101])
+    @pytest.mark.parametrize("agentic_workers", [1, 3])
+    def test_baseline_equals_serve_batch_baseline(self, seed, agentic_workers, gate_config):
+        config = SyntheticConfig(seed=seed)
+        queries = make_workload(config, 120)
+        schedule = ScheduleConfig(frontend_workers=4, agentic_workers=agentic_workers)
+        backend = FaultyBackend(SyntheticBackend(config), {})
+        _, stats = serve_batch(queries, gate_config, schedule, backend)
+        assert 0 < stats.n_accepted < stats.batch_size
+        assert backend.calls["agentic"] == len(queries)  # not batch_size + n_residual
+        _, baseline = serve_batch_baseline(queries, schedule, SyntheticBackend(config))
+        assert stats.baseline_makespan_s == baseline.batch_makespan_s
+
+    def test_failed_residual_counts_zero_and_is_not_retried(self, synthetic_config, gate_config):
+        inner = SyntheticBackend(synthetic_config)
+        queries = make_workload(synthetic_config, 60)
+        outcomes = [process_query(q, gate_config, inner) for q in queries]
+        residual = [o.query_id for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
+        accepted = [o.query_id for o in outcomes if o.path is QueryPath.SPECULATION_ACCEPTED]
+        fail = {"agentic": set(residual[::3]) | {accepted[0]}}
+        schedule = ScheduleConfig(agentic_workers=2)
+        backend = FaultyBackend(inner, fail)
+        served, stats = serve_batch(queries, gate_config, schedule, backend)
+        assert backend.calls["agentic"] == len(queries)
+        assert {o.query_id for o in served if o.error} == set(residual[::3])
+        durations = [
+            0.0 if q.id in fail["agentic"] else inner.agentic_run(q).latency_s for q in queries
+        ]
+        assert stats.baseline_makespan_s == _list_schedule_makespan(durations, 2)
+        _, baseline = serve_batch_baseline(queries, schedule, FaultyBackend(inner, fail))
+        assert stats.baseline_makespan_s == baseline.batch_makespan_s

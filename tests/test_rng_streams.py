@@ -1,0 +1,126 @@
+"""Bit-identity of the synthetic backend's random streams.
+
+The literals below are first draws recorded from the original constructions
+(substream via default_rng of the digest as an integer, sample_weighted via
+Generator.choice, latents always drawn from the "latent" stream). Any change
+to these functions must reproduce them exactly, since every synthetic output
+byte derives from them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from spec_funnel.backends import synthetic
+from spec_funnel.backends.base import Query, substream
+from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, sample_weighted
+from spec_funnel.errors import ValidationError
+
+
+class TestSubstreamBits:
+    @pytest.mark.parametrize(
+        "keys, first_random, first_integer, first_bytes",
+        [
+            ((0, "q000000", "latent"), 0.3895564787100759, 5258342054553525816, "894bb3ad1dcc960b"),
+            ((7, "q000123", "speculate"), 0.10952422060681888, 5534346981507769783, "1a70fa1d7784f6d5"),
+            (
+                (0, "q000001", "agentic", 3, "9f2c0a1b3d4e5f60"),
+                0.5577184382151898,
+                6476466023871750558,
+                "88d6ab9666cb50fb",
+            ),
+            (
+                (101, "q000042", "agentic", 0, "s0:q000042"),
+                0.19528521728163095,
+                1383705684088856113,
+                "3b5d24fe2207083b",
+            ),
+            ((2**40, "x"), 0.576786933026715, 7691234553233341342, "c7cbf8f169d0e317"),
+        ],
+    )
+    def test_recorded_first_draws(self, keys, first_random, first_integer, first_bytes):
+        rng = substream(*keys)
+        assert rng.random() == first_random
+        assert int(rng.integers(2**63)) == first_integer
+        assert rng.bytes(8).hex() == first_bytes
+
+    def test_matches_integer_seeded_default_rng(self):
+        for i in range(500):
+            keys = (i % 7, f"q{i:06d}", "agentic", i % 5, f"{i * 2654435761:x}")
+            material = "\x1f".join(str(k) for k in keys).encode()
+            seed = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
+            expected = np.random.default_rng(seed).random(3)
+            assert np.array_equal(substream(*keys).random(3), expected)
+
+
+def _choice_oracle(rng, weights):
+    values = sorted(weights)
+    probs = np.array([float(weights[v]) for v in values], dtype=np.float64)
+    return int(rng.choice(values, p=probs / probs.sum()))
+
+
+class TestSampleWeightedBits:
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            SyntheticConfig().depth_weights,
+            SyntheticConfig().answer_len_weights,
+            {4: 7.0, 1: 3.0, 2: 1.5},
+            {0: 0.0, 1: 2.0, 2: 0.0, 3: 1.0, 5: 0.0},
+        ],
+        ids=["depth", "answer_len", "unnormalised", "zero_weight_keys"],
+    )
+    def test_matches_generator_choice(self, weights):
+        seen = set()
+        for seed in range(10_000):
+            ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = sample_weighted(ours, weights)
+            assert drawn == _choice_oracle(oracle, weights)
+            assert ours.random() == oracle.random()  # same stream position afterwards
+            seen.add(drawn)
+        assert seen == {k for k, w in weights.items() if w > 0.0}
+
+    @pytest.mark.parametrize("weights", [{1: -1.0, 2: 2.0}, {1: 0.0, 2: 0.0}])
+    def test_invalid_table_rejected(self, weights):
+        with pytest.raises(ValidationError):
+            sample_weighted(np.random.default_rng(0), weights)
+
+
+class TestLatents:
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        keys = []
+        real = synthetic.substream
+
+        def spy(seed, *path):
+            keys.append(path)
+            return real(seed, *path)
+
+        monkeypatch.setattr(synthetic, "substream", spy)
+        return keys
+
+    def test_fully_pinned_query_opens_no_latent_stream(self, opened):
+        backend = SyntheticBackend(SyntheticConfig(seed=101))
+        query = Query(id="q000014", ground_truth="A", true_requires_tools=False, true_depth=3)
+        assert backend._latents(query) == (False, 3)
+        backend.judge(query)
+        backend.speculate(query)
+        backend.agentic_run(query)
+        assert opened and not any("latent" in path for path in opened)
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            (Query(id="q000014"), (True, 4)),
+            (Query(id="q000014", true_requires_tools=False), (False, 4)),
+            (Query(id="q000014", true_depth=0), (True, 0)),
+            (Query(id="q000018"), (True, 5)),
+            (Query(id="q000009", true_depth=2), (False, 2)),
+            (Query(id="q000008", true_requires_tools=True), (True, 2)),
+        ],
+    )
+    def test_partially_pinned_and_unpinned_recorded(self, opened, query, expected):
+        backend = SyntheticBackend(SyntheticConfig(seed=101))
+        assert backend._latents(query) == expected
+        assert opened == [(query.id, "latent")]
