@@ -11,13 +11,23 @@ step_costs carries one [llm_s, tool_s] pair per loop step including the
 final answer-emission step (tool_s = 0 there), so len(step_costs) must be
 depth + 1. Every successful exchange can be appended to a line-delimited
 JSON log for offline replay.
+
+Transport: one persistent stdlib connection per thread, kept while the
+server keeps it alive. A kept connection the server closed while idle is
+replaced before the next request; a POST is never sent twice. The adapter
+connects directly and reads no proxy settings from the environment.
 """
 
+import functools
+import http.client
 import json
 import math
+import select
 import threading
+import weakref
+from urllib.parse import urlsplit
 
-import requests
+import numpy as np
 
 from ..errors import BackendUnavailable, ValidationError
 from ..gate import TokenLogits
@@ -70,14 +80,15 @@ def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
             values = [float(e["logprob"]) for e in raw]
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed logprob entry: {exc!r}") from exc
-        # NaN and +inf fail this comparison; -inf marks a masked token,
-        # which lies outside the support and is dropped.
-        if not all(v < math.inf for v in values):
+        # -inf marks a masked token, which lies outside the support and is
+        # dropped; a NaN or +inf, also left out here, fails the response.
+        kept = [v for v in values if -math.inf < v < math.inf]
+        if len(kept) < len(values) and len(kept) + values.count(-math.inf) < len(values):
             raise BackendUnavailable("logprobs must not be NaN or +inf")
-        values = sorted((v for v in values if v > -math.inf), reverse=True)
-        if not values:
+        if not kept:
             raise BackendUnavailable("no finite logprobs")
-        logits.append(TokenLogits.from_raw(values[:top_logprobs]))
+        kept.sort(reverse=True)
+        logits.append(TokenLogits(np.array(kept[:top_logprobs])))
     if answer and not logits:
         raise BackendUnavailable("missing logprobs")
     try:
@@ -115,8 +126,9 @@ def parse_agentic_response(body, max_steps: int) -> AgenticOutput:
 class RemoteBackend:
     """Adapter speaking the three-route protocol against a base URL.
 
-    Safe for bounded concurrent use: each thread gets its own HTTP session
-    and exchange-log appends are serialized by a lock.
+    Safe for bounded concurrent use: each thread keeps one persistent stdlib
+    connection, reconnects when the server closed an idle connection, and
+    never resends a request; exchange-log appends are serialized by a lock.
     """
 
     def __init__(
@@ -132,31 +144,81 @@ class RemoteBackend:
         if not base_url:
             raise ValidationError("remote backend requires a base URL")
         self.base_url = base_url.rstrip("/")
+        try:
+            parts = urlsplit(self.base_url)
+            port = parts.port
+        except ValueError as exc:
+            raise ValidationError(f"malformed remote base URL {base_url!r}: {exc}") from exc
+        if (
+            parts.scheme not in _CONNECTIONS
+            or not parts.hostname
+            or parts.username is not None
+            or not all(" " < c <= "~" for c in self.base_url)
+        ):
+            raise ValidationError(
+                f"remote base URL must be http(s)://host[:port][/prefix] in printable ASCII, got {base_url!r}"
+            )
         self.top_logprobs = int(top_logprobs)
         self.max_steps = int(max_steps)
         self.timeout_s = float(timeout_s)
         self.judge_prompt = judge_prompt
         self._log_path = str(exchange_log) if exchange_log else None
         self._log_lock = threading.Lock()
+        self._connect = functools.partial(
+            _CONNECTIONS[parts.scheme], parts.hostname, port, timeout=self.timeout_s
+        )
+        self._path_prefix = parts.path
+        self._host_header = parts.netloc
         self._local = threading.local()
+        # weak, so that a finished thread's connection is freed, which closes it
+        self._connections = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
+    def close(self) -> None:
+        """Close the connection of every thread still holding one; a later
+        call reconnects.
+
+        Call it only while no request is in flight.
+        """
+        with self._connections_lock:
+            for conn in list(self._connections):
+                conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+            with self._connections_lock:
+                self._connections.add(conn)
+        elif conn.sock is not None and _readable(conn.sock):
+            # an idle kept-alive socket with something to read was closed
+            # (or garbled) by the server; the next send would be lost on it
+            conn.close()
+        return conn
 
     def _post(self, route: str, payload: dict) -> dict:
-        url = self.base_url + route
+        body = json.dumps(payload).encode()
+        head = (
+            f"POST {self._path_prefix}{route} HTTP/1.1\r\nHost: {self._host_header}\r\n"
+            f"Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        conn = self._connection()
         try:
-            response = self._session().post(url, json=payload, timeout=self.timeout_s)
-        except requests.RequestException as exc:
+            # one send for headers and body; send() connects a closed connection
+            conn.send(head.encode("ascii") + body)
+            response = http.client.HTTPResponse(conn.sock, method="POST")
+            response.begin()
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise BackendUnavailable(f"{route}: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendUnavailable(f"{route}: HTTP {response.status_code}")
+        if response.will_close:
+            conn.close()
+        if response.status != 200:
+            raise BackendUnavailable(f"{route}: HTTP {response.status}")
         try:
-            body = response.json()
+            body = json.loads(data)
         except ValueError as exc:
             raise BackendUnavailable(f"{route}: response is not JSON") from exc
         self._log(route, payload, body)
@@ -205,6 +267,18 @@ class RemoteBackend:
             },
         )
         return parse_agentic_response(body, self.max_steps)
+
+
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+
+def _readable(sock) -> bool:
+    """Zero-timeout readability check of an idle socket."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])  # no poll() on Windows
 
 
 def iter_exchanges(path):

@@ -55,6 +55,8 @@ class ScoreCollection:
 
     n_failed counts tool-free queries whose draft call failed; they carry no
     sample and, like a draft the gate rejects, bypass nothing.
+    n_judge_failed counts failed judge calls; those queries stay inside
+    n_tool_required, since a failed judge falls back in `run` too.
     """
 
     samples: tuple[ScoreSample, ...]
@@ -63,6 +65,7 @@ class ScoreCollection:
     mean_speculate_s: float
     token_scores: tuple[tuple[float, ...], ...]
     n_failed: int = 0
+    n_judge_failed: int = 0
 
     @property
     def n_total(self) -> int:
@@ -113,9 +116,9 @@ def collect_scores(
     """Score every tool-free query once; no thresholding, no fallback.
 
     Queries the judge screens as tool-required are excluded from the sample
-    list and counted separately, as is a failed judge call; a failed draft
-    call is skipped and counted in n_failed. All queries must carry ground
-    truth.
+    list and counted separately, as is a failed judge call (also counted in
+    n_judge_failed); a failed draft call is skipped and counted in n_failed.
+    All queries must carry ground truth.
     """
     if not queries:
         raise ValidationError("need at least one query")
@@ -127,11 +130,13 @@ def collect_scores(
     speculate_latencies = []
     n_tool_required = 0
     n_failed = 0
+    n_judge_failed = 0
     for query in queries:
         try:
             judged = backend.judge(query)
         except BackendUnavailable:
             n_tool_required += 1
+            n_judge_failed += 1
             continue
         judge_latencies.append(judged.latency_s)
         if judged.g == 1:
@@ -160,6 +165,7 @@ def collect_scores(
         mean_speculate_s=float(np.mean(speculate_latencies)) if speculate_latencies else 0.0,
         token_scores=tuple(token_scores),
         n_failed=n_failed,
+        n_judge_failed=n_judge_failed,
     )
 
 

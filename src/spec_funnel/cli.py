@@ -235,7 +235,7 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
     if not collection.samples:
         raise DegenerateDistribution("screening left no tool-free queries to calibrate on")
     fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
-    _warn_failed("calibrate", collection.n_failed + n_agentic_failed)
+    _warn_failed("calibrate", collection.n_failed + collection.n_judge_failed + n_agentic_failed)
     costs = cal.CostSummary(
         judge_s=collection.mean_judge_s,
         speculate_s=collection.mean_speculate_s,
@@ -349,7 +349,7 @@ def _ablate_threshold(config, out_dir, backend) -> Path:
     if not collection.samples:
         raise DegenerateDistribution("screening left no tool-free queries to sweep")
     fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
-    _warn_failed("ablate threshold", collection.n_failed + n_agentic_failed)
+    _warn_failed("ablate threshold", collection.n_failed + collection.n_judge_failed + n_agentic_failed)
     costs = cal.CostSummary(collection.mean_judge_s, collection.mean_speculate_s, agentic_mean_s)
     scores = [s.score for s in collection.samples]
     taus = (

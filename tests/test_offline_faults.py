@@ -61,7 +61,8 @@ def test_collect_scores_skips_failed_drafts(workload, gate_config):
     assert collection.n_total == N_QUERIES
     skipped = fail["judge"] | fail["speculate"]
     assert collection.samples == tuple(s for s in clean.samples if s.query_id not in skipped)
-    assert clean.n_failed == 0
+    assert collection.n_judge_failed == len(fail["judge"])
+    assert clean.n_failed == clean.n_judge_failed == 0
 
 
 def _fail_in_cli(monkeypatch, fail):
@@ -99,7 +100,16 @@ def test_calibrate_completes_and_counts_add_up(tmp_path, capsys, workload, faili
     )
     warnings = capsys.readouterr().err.strip().splitlines()
     assert len(warnings) == 1
-    assert f"{n_failed + len(fail['agentic_run'])} backend calls failed" in warnings[0]
+    n_calls_failed = n_failed + len(fail["judge"]) + len(fail["agentic_run"])
+    assert f"{n_calls_failed} backend calls failed" in warnings[0]
+
+
+@pytest.mark.parametrize("command", [("calibrate",), ("ablate", "--axis", "threshold")])
+def test_failed_judge_calls_are_counted_in_the_warning(tmp_path, capsys, monkeypatch, workload, command):
+    _, queries, _ = workload
+    _fail_in_cli(monkeypatch, {"judge": {q.id for q in queries[:3]}})
+    assert _main(*command, out=tmp_path) == cli.EXIT_OK
+    assert "3 backend calls failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis", ["threshold", "top_k"])
