@@ -15,7 +15,7 @@ from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, ma
 from spec_funnel.calibration import (
     CostSummary,
     choose_threshold,
-    collect_scores,
+    collect_score_sets,
     default_tau_grid,
     peak_distance,
     sweep_threshold,
@@ -43,10 +43,10 @@ def main():
     print(f"agentic baseline accuracy {fallback_accuracy:.4f}, mean latency {agentic_mean_s:.2f}s")
     print("strategy,delta_peak,chosen_tau,acceptance,predicted_accuracy,analytic_speedup")
 
+    strategies = (Scoring.LOG_CONF, Scoring.MEAN, Scoring.BOTTOM_R, Scoring.MIN)
     base_gate = GateConfig(tau=0.9)
-    for strategy in (Scoring.LOG_CONF, Scoring.MEAN, Scoring.BOTTOM_R, Scoring.MIN):
-        gate_config = replace(base_gate, aggregation=strategy)
-        collection = collect_scores(queries, gate_config, backend)
+    collections = collect_score_sets(queries, [replace(base_gate, aggregation=s) for s in strategies], backend)
+    for strategy, collection in zip(strategies, collections):
         correct = [s.score for s in collection.samples if s.correct]
         incorrect = [s.score for s in collection.samples if not s.correct]
         try:

@@ -8,7 +8,7 @@ discriminability metric, and sweeps accept thresholds into operating points
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,10 @@ __all__ = [
     "DensityEstimate",
     "UnionBoundReport",
     "collect_scores",
+    "collect_score_sets",
     "kde",
     "peak_distance",
+    "analytic_speedup",
     "sweep_threshold",
     "choose_threshold",
     "default_tau_grid",
@@ -92,7 +94,6 @@ class OperatingPoint:
     accuracy: float
     analytic_speedup: float
     expected_latency_s: float
-    simulated_speedup: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.acceptance_rate <= 1.0:
@@ -115,17 +116,32 @@ def collect_scores(
 ) -> ScoreCollection:
     """Score every tool-free query once; no thresholding, no fallback.
 
-    Queries the judge screens as tool-required are excluded from the sample
-    list and counted separately, as is a failed judge call (also counted in
-    n_judge_failed); a failed draft call is skipped and counted in n_failed.
-    All queries must carry ground truth.
+    The one-config case of collect_score_sets.
     """
+    return collect_score_sets(queries, (gate_config,), backend)[0]
+
+
+def collect_score_sets(
+    queries: list[Query], gate_configs, backend: Backend
+) -> tuple[ScoreCollection, ...]:
+    """Score every tool-free query under each gate config, one collection per
+    config, with one judge and one draft call per query.
+
+    Queries the judge screens as tool-required are excluded from the sample
+    lists and counted separately, as is a failed judge call (also counted in
+    n_judge_failed); a failed draft call is skipped and counted in n_failed.
+    Each draft is scored as it arrives and its logits are not kept. All
+    queries must carry ground truth.
+    """
+    gate_configs = tuple(gate_configs)
     if not queries:
         raise ValidationError("need at least one query")
+    if not gate_configs:
+        raise ValidationError("need at least one gate config")
     if any(q.ground_truth is None for q in queries):
         raise ValidationError("calibration queries must carry ground truth")
-    samples = []
-    token_scores = []
+    samples = [[] for _ in gate_configs]
+    token_scores = [[] for _ in gate_configs]
     judge_latencies = []
     speculate_latencies = []
     n_tool_required = 0
@@ -148,24 +164,24 @@ def collect_scores(
             n_failed += 1
             continue
         speculate_latencies.append(draft.latency_s)
-        decision = gate(draft.token_logits, gate_config)
-        samples.append(
-            ScoreSample(
-                query_id=query.id,
-                score=decision.score,
-                correct=answers_match(draft.answer, query.ground_truth),
-                strategy=gate_config.aggregation,
-            )
+        correct = answers_match(draft.answer, query.ground_truth)
+        for config, kept, traces in zip(gate_configs, samples, token_scores):
+            decision = gate(draft.token_logits, config)
+            kept.append(ScoreSample(query.id, decision.score, correct, config.aggregation))
+            traces.append(decision.token_scores)
+    mean_judge_s = float(np.mean(judge_latencies)) if judge_latencies else 0.0
+    mean_speculate_s = float(np.mean(speculate_latencies)) if speculate_latencies else 0.0
+    return tuple(
+        ScoreCollection(
+            samples=tuple(kept),
+            n_tool_required=n_tool_required,
+            mean_judge_s=mean_judge_s,
+            mean_speculate_s=mean_speculate_s,
+            token_scores=tuple(traces),
+            n_failed=n_failed,
+            n_judge_failed=n_judge_failed,
         )
-        token_scores.append(decision.token_scores)
-    return ScoreCollection(
-        samples=tuple(samples),
-        n_tool_required=n_tool_required,
-        mean_judge_s=float(np.mean(judge_latencies)) if judge_latencies else 0.0,
-        mean_speculate_s=float(np.mean(speculate_latencies)) if speculate_latencies else 0.0,
-        token_scores=tuple(token_scores),
-        n_failed=n_failed,
-        n_judge_failed=n_judge_failed,
+        for kept, traces in zip(samples, token_scores)
     )
 
 
@@ -234,6 +250,14 @@ def default_tau_grid(scores, n_taus: int = 33) -> list[float]:
     return [float(t) for t in np.linspace(float(x.min()), float(x.max()), n_taus)]
 
 
+def analytic_speedup(beta: float, alpha: float) -> float:
+    """speedup_model, reporting a fully bypassed batch as inf."""
+    try:
+        return speedup_model(beta, alpha)
+    except InfiniteSpeedup:
+        return float("inf")
+
+
 def sweep_threshold(
     samples,
     taus,
@@ -267,17 +291,13 @@ def sweep_threshold(
         accepted_accuracy = float(correct[accepted].mean()) if accepted.any() else 0.0
         toolfree_accuracy = acceptance * accepted_accuracy + (1.0 - acceptance) * fallback_accuracy
         accuracy = beta * toolfree_accuracy + (1.0 - beta) * fallback_accuracy
-        try:
-            speedup = speedup_model(beta, acceptance)
-        except InfiniteSpeedup:
-            speedup = float("inf")
         latency = expected_latency(beta, acceptance, costs.judge_s, costs.speculate_s, costs.agentic_mean_s)
         points.append(
             OperatingPoint(
                 tau=tau,
                 acceptance_rate=acceptance,
                 accuracy=accuracy,
-                analytic_speedup=speedup,
+                analytic_speedup=analytic_speedup(beta, acceptance),
                 expected_latency_s=latency,
             )
         )
@@ -352,8 +372,3 @@ def union_bound_report(token_scores, correct, n_bins: int = 10) -> UnionBoundRep
         monotone_decreasing=monotone,
     )
 
-
-def rescored_decisions(token_logits_by_query, gate_config: GateConfig, k: int):
-    """Re-gate stored token-logit dumps at a different top-k window."""
-    config = replace(gate_config, k=k)
-    return {qid: gate(logits, config) for qid, logits in token_logits_by_query.items()}

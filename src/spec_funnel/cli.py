@@ -31,14 +31,7 @@ from .errors import (
     SpecFunnelError,
     ValidationError,
 )
-from .funnel import (
-    ScheduleConfig,
-    ScheduleMode,
-    serve_batch,
-    serve_batch_baseline,
-    speedup_model,
-)
-from .errors import InfiniteSpeedup
+from .funnel import serve_batch, serve_batch_baseline
 from .gate import gate
 from .pipeline import QueryPath, answers_match, expected_latency
 from .recordio import (
@@ -121,13 +114,6 @@ def _empirical_costs(outcomes) -> cal.CostSummary:
     )
 
 
-def _analytic_speedup(beta, alpha):
-    try:
-        return speedup_model(beta, alpha)
-    except InfiniteSpeedup:
-        return float("inf")
-
-
 def _summary_row(outcomes, stats):
     costs = _empirical_costs(outcomes)
     return [
@@ -143,7 +129,7 @@ def _summary_row(outcomes, stats):
         stats.baseline_makespan_s,
         stats.throughput_qps,
         stats.speedup,
-        _analytic_speedup(stats.beta_hat, stats.alpha_hat),
+        cal.analytic_speedup(stats.beta_hat, stats.alpha_hat),
         _mean([o.total_latency_s for o in outcomes]),
         expected_latency(
             stats.beta_hat, stats.alpha_hat, costs.judge_s, costs.speculate_s, costs.agentic_mean_s
@@ -226,28 +212,46 @@ def _warn_failed(command: str, n_failed: int) -> None:
         print(f"{command}: warning: {n_failed} backend calls failed and were left out", file=sys.stderr)
 
 
+def _offline_sweep(command: str, config: RunConfig, backend, gate_configs, taus):
+    """Collect scores under each gate config and sweep each collection.
+
+    One judge, one draft and one agentic call per query, whatever the number
+    of configs. Each collection is swept at `taus`, or when that is None at
+    an even grid over its own score range. Returns the collections, their
+    operating points, the fallback accuracy and the mean costs.
+    """
+    workload = _build_workload(config)
+    collections = cal.collect_score_sets(workload, gate_configs, backend)
+    first = collections[0]
+    if not first.samples:
+        raise DegenerateDistribution("screening left no tool-free queries to score")
+    fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
+    _warn_failed(command, first.n_failed + first.n_judge_failed + n_agentic_failed)
+    costs = cal.CostSummary(first.mean_judge_s, first.mean_speculate_s, agentic_mean_s)
+    sweeps = [
+        cal.sweep_threshold(
+            c.samples,
+            taus or cal.default_tau_grid([s.score for s in c.samples], config.calibration.n_taus),
+            costs,
+            c.beta_hat,
+            fallback_accuracy,
+        )
+        for c in collections
+    ]
+    return collections, sweeps, fallback_accuracy, costs
+
+
+def _operating_point_rows(points):
+    return [[p.tau, p.acceptance_rate, p.accuracy, p.analytic_speedup, p.expected_latency_s] for p in points]
+
+
 def cmd_calibrate(config: RunConfig, out: str) -> int:
     started = _now()
     out_dir = _prepare_out(out)
     backend = _build_backend(config)
-    workload = _build_workload(config)
-    collection = cal.collect_scores(workload, config.gate, backend)
-    if not collection.samples:
-        raise DegenerateDistribution("screening left no tool-free queries to calibrate on")
-    fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
-    _warn_failed("calibrate", collection.n_failed + collection.n_judge_failed + n_agentic_failed)
-    costs = cal.CostSummary(
-        judge_s=collection.mean_judge_s,
-        speculate_s=collection.mean_speculate_s,
-        agentic_mean_s=agentic_mean_s,
+    (collection,), (points,), fallback_accuracy, costs = _offline_sweep(
+        "calibrate", config, backend, [config.gate], config.calibration.taus
     )
-    scores = [s.score for s in collection.samples]
-    taus = (
-        list(config.calibration.taus)
-        if config.calibration.taus
-        else cal.default_tau_grid(scores, config.calibration.n_taus)
-    )
-    points = cal.sweep_threshold(collection.samples, taus, costs, collection.beta_hat, fallback_accuracy)
     choice = cal.choose_threshold(points, fallback_accuracy)
 
     outputs = [out_dir / "scores.csv", out_dir / "operating_points.csv", out_dir / "union_bound.csv"]
@@ -256,14 +260,7 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
         SCORES_HEADER,
         [[s.query_id, s.score, s.correct, s.strategy.value] for s in collection.samples],
     )
-    write_csv(
-        outputs[1],
-        OPERATING_POINTS_HEADER,
-        [
-            [p.tau, p.acceptance_rate, p.accuracy, p.analytic_speedup, p.expected_latency_s]
-            for p in points
-        ],
-    )
+    write_csv(outputs[1], OPERATING_POINTS_HEADER, _operating_point_rows(points))
 
     correct_scores = [s.score for s in collection.samples if s.correct]
     incorrect_scores = [s.score for s in collection.samples if not s.correct]
@@ -344,26 +341,11 @@ def cmd_ablate(config: RunConfig, out: str, axis: str) -> int:
 
 
 def _ablate_threshold(config, out_dir, backend) -> Path:
-    workload = _build_workload(config)
-    collection = cal.collect_scores(workload, config.gate, backend)
-    if not collection.samples:
-        raise DegenerateDistribution("screening left no tool-free queries to sweep")
-    fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
-    _warn_failed("ablate threshold", collection.n_failed + collection.n_judge_failed + n_agentic_failed)
-    costs = cal.CostSummary(collection.mean_judge_s, collection.mean_speculate_s, agentic_mean_s)
-    scores = [s.score for s in collection.samples]
-    taus = (
-        list(config.ablation.thresholds)
-        if config.ablation.thresholds
-        else cal.default_tau_grid(scores, config.calibration.n_taus)
+    _, (points,), _, _ = _offline_sweep(
+        "ablate threshold", config, backend, [config.gate], config.ablation.thresholds
     )
-    points = cal.sweep_threshold(collection.samples, taus, costs, collection.beta_hat, fallback_accuracy)
     path = out_dir / "ablate_threshold.csv"
-    write_csv(
-        path,
-        OPERATING_POINTS_HEADER,
-        [[p.tau, p.acceptance_rate, p.accuracy, p.analytic_speedup, p.expected_latency_s] for p in points],
-    )
+    write_csv(path, OPERATING_POINTS_HEADER, _operating_point_rows(points))
     print(f"ablate threshold: {len(points)} operating points -> {path}")
     return path
 
@@ -379,7 +361,7 @@ def _ablate_batch_size(config, out_dir, backend) -> Path:
                 batch_size,
                 _accuracy(outcomes),
                 stats.speedup,
-                _analytic_speedup(stats.beta_hat, stats.alpha_hat),
+                cal.analytic_speedup(stats.beta_hat, stats.alpha_hat),
                 stats.batch_makespan_s,
                 stats.baseline_makespan_s,
             ]
@@ -391,39 +373,11 @@ def _ablate_batch_size(config, out_dir, backend) -> Path:
 
 
 def _ablate_top_k(config, out_dir, backend) -> Path:
-    workload = _build_workload(config)
-    fallback_accuracy, _, n_failed = _agentic_reference(workload, backend)
-    dumps = {}
-    labels = {}
-    n_toolfree = 0
-    for query in workload:
-        # as in collect_scores: a failed judge screens tool-required, a
-        # failed draft is skipped
-        try:
-            if backend.judge(query).g == 1:
-                continue
-            draft = backend.speculate(query)
-        except BackendUnavailable:
-            n_failed += 1
-            continue
-        n_toolfree += 1
-        dumps[query.id] = draft.token_logits
-        labels[query.id] = answers_match(draft.answer, query.ground_truth)
-    _warn_failed("ablate top_k", n_failed)
-    if not dumps:
-        raise DegenerateDistribution("screening left no tool-free queries to rescore")
-    beta_hat = n_toolfree / len(workload)
-    rows = []
-    for k in config.ablation.top_k:
-        decisions = cal.rescored_decisions(dumps, config.gate, k)
-        accepted = [qid for qid, d in decisions.items() if d.accepted]
-        acceptance = len(accepted) / len(decisions)
-        accepted_accuracy = (
-            float(np.mean([labels[qid] for qid in accepted])) if accepted else 0.0
-        )
-        toolfree_accuracy = acceptance * accepted_accuracy + (1.0 - acceptance) * fallback_accuracy
-        accuracy = beta_hat * toolfree_accuracy + (1.0 - beta_hat) * fallback_accuracy
-        rows.append([k, acceptance, accuracy, _analytic_speedup(beta_hat, acceptance)])
+    top_k = config.ablation.top_k
+    _, sweeps, _, _ = _offline_sweep(
+        "ablate top_k", config, backend, [replace(config.gate, k=k) for k in top_k], [config.gate.tau]
+    )
+    rows = [[k, p.acceptance_rate, p.accuracy, p.analytic_speedup] for k, (p,) in zip(top_k, sweeps)]
     path = out_dir / "ablate_top_k.csv"
     write_csv(path, ABLATE_TOPK_HEADER, rows)
     print(f"ablate top_k: {len(rows)} window sizes -> {path}")
@@ -435,7 +389,12 @@ def cmd_report(run_dir: str) -> int:
     outcomes_path = directory / "outcomes.jsonl"
     if not outcomes_path.exists():
         raise ConfigError(f"no outcomes.jsonl under {run_dir}")
-    records = read_jsonl(outcomes_path)
+    try:
+        records = read_jsonl(outcomes_path)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{outcomes_path} holds a line that is not JSON: {exc}") from exc
+    if not records:
+        raise ConfigError(f"no outcome records in {outcomes_path}")
     by_path: dict[str, int] = {}
     for record in records:
         by_path[record["path"]] = by_path.get(record["path"], 0) + 1
@@ -535,7 +494,7 @@ def _config_from_args(args) -> RunConfig:
         try:
             artifact = json.loads(Path(calibration_path).read_text(encoding="utf-8"))
             tau = float(artifact["chosen_tau"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"unusable calibration artifact: {exc}", field="--calibration") from exc
         config = replace(config, gate=replace(config.gate, tau=tau))
     return config

@@ -8,14 +8,17 @@ detectable.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .backends.remote import DEFAULT_JUDGE_PROMPT
-from .backends.synthetic import SyntheticConfig, Uniform
+from .backends.synthetic import SyntheticConfig
 from .errors import ConfigError, ValidationError
-from .funnel import ScheduleConfig, ScheduleMode
-from .gate import GateConfig, Scoring
+from .funnel import ScheduleConfig
+from .gate import GateConfig
 from .recordio import canonical_json
 
 __all__ = [
@@ -79,7 +82,8 @@ class CalibrationSettings:
         if self.n_taus < 1:
             raise ValidationError("n_taus must be >= 1")
         if self.taus is not None:
-            object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+            # an empty grid means the default one, and digests as such
+            object.__setattr__(self, "taus", tuple(float(t) for t in self.taus) or None)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class AblationSettings:
         object.__setattr__(self, "batch_sizes", tuple(int(b) for b in self.batch_sizes))
         object.__setattr__(self, "top_k", tuple(int(k) for k in self.top_k))
         if self.thresholds is not None:
-            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds) or None)
         if any(b < 1 for b in self.batch_sizes) or any(k < 2 for k in self.top_k):
             raise ValidationError("batch sizes must be >= 1 and top_k values >= 2")
 
@@ -110,196 +114,82 @@ class RunConfig:
     ablation: AblationSettings = field(default_factory=AblationSettings)
 
     def to_dict(self) -> dict:
-        syn = self.synthetic
-        return {
-            "seed": self.seed,
-            "bypass": self.bypass,
-            "backend": {
-                "kind": self.backend.kind,
-                "endpoint": self.backend.endpoint,
-                "top_logprobs": self.backend.top_logprobs,
-                "timeout_s": self.backend.timeout_s,
-                "judge_prompt": self.backend.judge_prompt,
-                "exchange_log": self.backend.exchange_log,
-            },
-            "synthetic": {
-                "vocab_k": syn.vocab_k,
-                "p_tool_required": syn.p_tool_required,
-                "depth_weights": {str(k): v for k, v in sorted(syn.depth_weights.items())},
-                "draft_accuracy_toolfree": syn.draft_accuracy_toolfree,
-                "draft_accuracy_toolreq": syn.draft_accuracy_toolreq,
-                "agentic_accuracy": syn.agentic_accuracy,
-                "judge_accuracy": syn.judge_accuracy,
-                "sep_mu_correct": syn.sep_mu_correct,
-                "sep_mu_incorrect": syn.sep_mu_incorrect,
-                "sep_sigma": syn.sep_sigma,
-                "answer_len_weights": {str(k): v for k, v in sorted(syn.answer_len_weights.items())},
-                "judge_cost_s": syn.judge_cost_s,
-                "speculate_cost_s": syn.speculate_cost_s,
-                "llm_step_cost_s": syn.llm_step_cost_s,
-                "tool_cost": {"low": syn.tool_cost.low, "high": syn.tool_cost.high},
-                "depth_cap": syn.depth_cap,
-            },
-            "gate": {
-                "k": self.gate.k,
-                "epsilon": self.gate.epsilon,
-                "aggregation": self.gate.aggregation.value,
-                "bottom_ratio": self.gate.bottom_ratio,
-                "tau": self.gate.tau,
-            },
-            "schedule": {
-                "frontend_workers": self.schedule.frontend_workers,
-                "agentic_workers": self.schedule.agentic_workers,
-                "mode": self.schedule.mode.value,
-            },
-            "workload": {
-                "n_queries": self.workload.n_queries,
-                "quota": (
-                    {"beta": self.workload.quota.beta, "alpha": self.workload.quota.alpha}
-                    if self.workload.quota
-                    else None
-                ),
-            },
-            "calibration": {
-                "n_taus": self.calibration.n_taus,
-                "taus": list(self.calibration.taus) if self.calibration.taus else None,
-                "bandwidth": self.calibration.bandwidth,
-            },
-            "ablation": {
-                "batch_sizes": list(self.ablation.batch_sizes),
-                "top_k": list(self.ablation.top_k),
-                "thresholds": list(self.ablation.thresholds) if self.ablation.thresholds else None,
-            },
-        }
+        data = _plain(self)
+        del data["synthetic"]["seed"]  # repeats the top-level seed
+        return data
 
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
 
-_TOP_LEVEL_KEYS = (
-    "seed",
-    "bypass",
-    "backend",
-    "synthetic",
-    "gate",
-    "schedule",
-    "workload",
-    "calibration",
-    "ablation",
-)
-
-
-def _check_keys(data: dict, allowed, path: str) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}", field=path or "<root>")
-
-
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name) or {}
-    if not isinstance(value, dict):
-        raise ConfigError("must be an object", field=name)
+def _plain(value):
+    """JSON-ready copy of a config value: dataclasses become dicts, enums
+    their values, tuples lists, and mapping keys strings."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): _plain(v) for k, v in sorted(value.items())}
     return value
 
 
-def _build(cls, data: dict, path: str, **converted):
+def _nested_type(annotation):
+    """The dataclass or enum a field annotation names, if any (`X | None` too)."""
+    for kind in get_args(annotation) or (annotation,):
+        if is_dataclass(kind) or (isinstance(kind, type) and issubclass(kind, Enum)):
+            return kind
+    return None
+
+
+def _from_dict(cls, data, path: str, **fixed):
+    """Build dataclass `cls` from a raw config section.
+
+    The allowed keys are the fields of `cls` other than `fixed`, whose
+    values the caller supplies. Nested dataclass and enum fields are built
+    from their annotations; a ConfigError names the failing section.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError("must be an object", field=path)
+    names = [f.name for f in fields(cls) if f.name not in fixed]
+    unknown = set(data) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}", field=path or "<root>")
+    hints = get_type_hints(cls)
+    values = dict(fixed)
+    for name in names:
+        if name not in data:
+            continue
+        value = data[name]
+        kind = _nested_type(hints[name])
+        name_path = f"{path}.{name}" if path else name
+        if kind is None or (value is None and type(None) in get_args(hints[name])):
+            values[name] = value
+        elif is_dataclass(kind):
+            values[name] = _from_dict(kind, value or {}, name_path)
+        else:
+            try:
+                values[name] = kind(value)
+            except ValueError as exc:
+                raise ConfigError(str(exc), field=name_path) from exc
     try:
-        return cls(**{**data, **converted})
-    except ValidationError as exc:
-        raise ConfigError(str(exc), field=path) from exc
-    except TypeError as exc:
+        return cls(**values)
+    except (ValidationError, TypeError) as exc:
         raise ConfigError(str(exc), field=path) from exc
 
 
 def build_config(raw: dict) -> RunConfig:
-    _check_keys(raw, _TOP_LEVEL_KEYS, "")
-    backend_raw = _section(raw, "backend")
-    _check_keys(
-        backend_raw,
-        ("kind", "endpoint", "top_logprobs", "timeout_s", "judge_prompt", "exchange_log"),
-        "backend",
-    )
-    backend = _build(BackendSettings, backend_raw, "backend")
-
-    synthetic_raw = dict(_section(raw, "synthetic"))
-    _check_keys(
-        synthetic_raw,
-        (
-            "vocab_k",
-            "p_tool_required",
-            "depth_weights",
-            "draft_accuracy_toolfree",
-            "draft_accuracy_toolreq",
-            "agentic_accuracy",
-            "judge_accuracy",
-            "sep_mu_correct",
-            "sep_mu_incorrect",
-            "sep_sigma",
-            "answer_len_weights",
-            "judge_cost_s",
-            "speculate_cost_s",
-            "llm_step_cost_s",
-            "tool_cost",
-            "depth_cap",
-        ),
-        "synthetic",
-    )
-    if "tool_cost" in synthetic_raw:
-        tc = synthetic_raw["tool_cost"]
-        _check_keys(tc, ("low", "high"), "synthetic.tool_cost")
-        synthetic_raw["tool_cost"] = _build(Uniform, tc, "synthetic.tool_cost")
-    synthetic = _build(SyntheticConfig, synthetic_raw, "synthetic", seed=int(raw.get("seed", 0)))
-
-    gate_raw = _section(raw, "gate")
-    _check_keys(gate_raw, ("k", "epsilon", "aggregation", "bottom_ratio", "tau"), "gate")
-    if "aggregation" in gate_raw:
-        try:
-            gate_raw = {**gate_raw, "aggregation": Scoring(gate_raw["aggregation"])}
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="gate.aggregation") from exc
-    gate_config = _build(GateConfig, gate_raw, "gate")
-
-    schedule_raw = _section(raw, "schedule")
-    _check_keys(schedule_raw, ("frontend_workers", "agentic_workers", "mode"), "schedule")
-    if "mode" in schedule_raw:
-        try:
-            schedule_raw = {**schedule_raw, "mode": ScheduleMode(schedule_raw["mode"])}
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="schedule.mode") from exc
-    schedule = _build(ScheduleConfig, schedule_raw, "schedule")
-
-    workload_raw = dict(_section(raw, "workload"))
-    _check_keys(workload_raw, ("n_queries", "quota"), "workload")
-    if workload_raw.get("quota") is not None:
-        quota_raw = workload_raw["quota"]
-        _check_keys(quota_raw, ("beta", "alpha"), "workload.quota")
-        workload_raw["quota"] = _build(QuotaSettings, quota_raw, "workload.quota")
-    workload = _build(WorkloadSettings, workload_raw, "workload")
-
-    calibration_raw = _section(raw, "calibration")
-    _check_keys(calibration_raw, ("n_taus", "taus", "bandwidth"), "calibration")
-    calibration = _build(CalibrationSettings, calibration_raw, "calibration")
-
-    ablation_raw = _section(raw, "ablation")
-    _check_keys(ablation_raw, ("batch_sizes", "top_k", "thresholds"), "ablation")
-    ablation = _build(AblationSettings, ablation_raw, "ablation")
-
     try:
         seed = int(raw.get("seed", 0))
         bypass = bool(raw.get("bypass", True))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), field="seed") from exc
-    return RunConfig(
-        seed=seed,
-        bypass=bypass,
-        backend=backend,
-        synthetic=synthetic,
-        gate=gate_config,
-        schedule=schedule,
-        workload=workload,
-        calibration=calibration,
-        ablation=ablation,
-    )
+    # the synthetic backend's seed is the run seed, never set on its own
+    synthetic = _from_dict(SyntheticConfig, raw.get("synthetic") or {}, "synthetic", seed=seed)
+    sections = {k: v for k, v in raw.items() if k not in ("seed", "bypass", "synthetic")}
+    return _from_dict(RunConfig, sections, "", seed=seed, bypass=bypass, synthetic=synthetic)
 
 
 def apply_override(raw: dict, assignment: str) -> None:

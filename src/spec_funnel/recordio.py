@@ -8,6 +8,7 @@ deterministic so output files are byte-stable for a fixed (config, seed).
 
 import csv
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .funnel import FunnelStats
@@ -33,7 +34,6 @@ __all__ = [
     "OPERATING_POINTS_HEADER",
     "KDE_HEADER",
     "UNION_BOUND_HEADER",
-    "ABLATE_THRESHOLD_HEADER",
     "ABLATE_BATCH_HEADER",
     "ABLATE_TOPK_HEADER",
     "REPLAY_HEADER",
@@ -60,7 +60,6 @@ SCORES_HEADER = ["query_id", "score", "correct", "strategy"]
 OPERATING_POINTS_HEADER = ["tau", "acceptance_rate", "accuracy", "analytic_speedup", "expected_latency_s"]
 KDE_HEADER = ["grid_point", "density"]
 UNION_BOUND_HEADER = ["sep_lo", "sep_hi", "n_tokens", "answer_error_rate"]
-ABLATE_THRESHOLD_HEADER = OPERATING_POINTS_HEADER
 ABLATE_BATCH_HEADER = [
     "batch_size",
     "accuracy",
@@ -172,38 +171,14 @@ def outcome_lines(outcomes) -> bytes:
 
 
 def stats_to_dict(stats: FunnelStats) -> dict:
-    return {
-        "batch_size": stats.batch_size,
-        "n_toolfree": stats.n_toolfree,
-        "n_toolreq": stats.n_toolreq,
-        "n_accepted": stats.n_accepted,
-        "n_rejected": stats.n_rejected,
-        "n_residual": stats.n_residual,
-        "beta_hat": stats.beta_hat,
-        "alpha_hat": stats.alpha_hat,
-        "frontend_makespan_s": stats.frontend_makespan_s,
-        "fallback_makespan_s": stats.fallback_makespan_s,
-        "batch_makespan_s": stats.batch_makespan_s,
-        "throughput_qps": stats.throughput_qps,
-        "baseline_makespan_s": stats.baseline_makespan_s,
-        "speedup": stats.speedup,
-    }
+    return asdict(stats)
 
 
 def stats_from_dict(data: dict) -> FunnelStats:
+    """Counts and rates are required; the optional fields default to None."""
     return FunnelStats(
-        batch_size=int(data["batch_size"]),
-        n_toolfree=int(data["n_toolfree"]),
-        n_toolreq=int(data["n_toolreq"]),
-        n_accepted=int(data["n_accepted"]),
-        n_rejected=int(data["n_rejected"]),
-        n_residual=int(data["n_residual"]),
-        beta_hat=float(data["beta_hat"]),
-        alpha_hat=float(data["alpha_hat"]),
-        frontend_makespan_s=float(data["frontend_makespan_s"]),
-        fallback_makespan_s=float(data["fallback_makespan_s"]),
-        batch_makespan_s=float(data["batch_makespan_s"]),
-        throughput_qps=data.get("throughput_qps"),
-        baseline_makespan_s=data.get("baseline_makespan_s"),
-        speedup=data.get("speedup"),
+        **{
+            f.name: f.type(data[f.name]) if f.type in (int, float) else data.get(f.name)
+            for f in fields(FunnelStats)
+        }
     )

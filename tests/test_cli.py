@@ -291,3 +291,27 @@ class TestReportAndReplay:
         log = tmp_path / "empty.jsonl"
         log.write_text("", encoding="utf-8")
         assert main(["replay", str(log), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestMalformedInputs:
+    def test_report_on_empty_outcomes(self, tmp_path, capsys):
+        (tmp_path / "outcomes.jsonl").write_text("", encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_report_on_malformed_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--out", str(out), "--seed", "3", *SMALL])
+        with open(out / "outcomes.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"query_id": "q9", "path":\n')
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("artifact", [{"chosen_tau": None}, [0.9], "0.9"])
+    def test_run_with_unusable_calibration(self, tmp_path, capsys, artifact):
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(artifact), encoding="utf-8")
+        rc = main(["run", "--out", str(tmp_path / "o"), "--calibration", str(path), *SMALL])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: --calibration: ")

@@ -93,11 +93,12 @@ class StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     StubHandler.behaviors = {}
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
