@@ -126,6 +126,11 @@ class AgenticOutput:
 
 @runtime_checkable
 class Backend(Protocol):
+    """The three model routes. A route that cannot serve raises BackendUnavailable,
+    which the funnel degrades to a fallback or an outcome error; any other
+    exception (a KeyError, say) propagates unchanged out of serve_batch in
+    both clock modes."""
+
     def judge(self, query: Query) -> JudgeOutput: ...
 
     def speculate(self, query: Query) -> SpeculativeAnswer: ...

@@ -170,7 +170,7 @@ class RemoteBackend:
         self._path_prefix = parts.path
         self._host_header = parts.netloc
         self._local = threading.local()
-        # weak, so that a finished thread's connection is freed, which closes it
+        # weak: a thread's connection is closed and freed when the thread ends
         self._connections = weakref.WeakSet()
         self._connections_lock = threading.Lock()
 
@@ -188,6 +188,7 @@ class RemoteBackend:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
+            self._local.closer = _Closer(conn)  # dropped with the thread's locals
             with self._connections_lock:
                 self._connections.add(conn)
         elif conn.sock is not None and _readable(conn.sock):
@@ -270,6 +271,16 @@ class RemoteBackend:
 
 
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+
+class _Closer:
+    """Closes a connection when freed, as a thread's locals are when it ends."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
 
 
 def _readable(sock) -> bool:

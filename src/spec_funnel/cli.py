@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,9 +33,10 @@ from .errors import (
     ValidationError,
 )
 from .funnel import serve_batch, serve_batch_baseline
-from .gate import gate
+from .gate import Scoring, gate
 from .pipeline import QueryPath, answers_match, expected_latency
 from .recordio import (
+    ABLATE_AGGREGATION_HEADER,
     ABLATE_BATCH_HEADER,
     ABLATE_TOPK_HEADER,
     KDE_HEADER,
@@ -43,8 +45,10 @@ from .recordio import (
     SCORES_HEADER,
     SUMMARY_HEADER,
     UNION_BOUND_HEADER,
+    outcome_from_dict,
     outcome_to_dict,
     read_jsonl,
+    stats_from_dict,
     stats_to_dict,
     write_csv,
     write_json,
@@ -264,7 +268,6 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
 
     correct_scores = [s.score for s in collection.samples if s.correct]
     incorrect_scores = [s.score for s in collection.samples if not s.correct]
-    delta = None
     mean_distance = None
     for name, class_scores in (("kde_correct", correct_scores), ("kde_incorrect", incorrect_scores)):
         try:
@@ -274,10 +277,7 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
         path = out_dir / f"{name}.csv"
         write_csv(path, KDE_HEADER, zip(estimate.grid, estimate.density))
         outputs.append(path)
-    try:
-        delta = cal.peak_distance(correct_scores, incorrect_scores, config.calibration.bandwidth)
-    except DegenerateDistribution:
-        delta = None
+    delta = _peak_distance(collection.samples, config.calibration.bandwidth)
     if correct_scores and incorrect_scores:
         mean_distance = abs(float(np.mean(correct_scores)) - float(np.mean(incorrect_scores)))
 
@@ -324,94 +324,110 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(config: RunConfig, out: str, axis: str) -> int:
-    started = _now()
-    out_dir = _prepare_out(out)
-    backend = _build_backend(config)
-    if axis == "threshold":
-        outputs = [_ablate_threshold(config, out_dir, backend)]
-    elif axis == "batch_size":
-        outputs = [_ablate_batch_size(config, out_dir, backend)]
-    elif axis == "top_k":
-        outputs = [_ablate_top_k(config, out_dir, backend)]
-    else:
-        raise ConfigError("axis must be threshold, batch_size, or top_k", field="--axis")
-    _write_manifest(out_dir, f"ablate-{axis}", config, outputs, started)
-    return EXIT_OK
+def _peak_distance(samples, bandwidth):
+    """Peak distance of the correct and incorrect score densities, or None
+    when either one is degenerate."""
+    try:
+        return cal.peak_distance(
+            [s.score for s in samples if s.correct], [s.score for s in samples if not s.correct], bandwidth
+        )
+    except DegenerateDistribution:
+        return None
 
 
-def _ablate_threshold(config, out_dir, backend) -> Path:
+def _ablate_threshold(config, backend) -> list:
     _, (points,), _, _ = _offline_sweep(
         "ablate threshold", config, backend, [config.gate], config.ablation.thresholds
     )
-    path = out_dir / "ablate_threshold.csv"
-    write_csv(path, OPERATING_POINTS_HEADER, _operating_point_rows(points))
-    print(f"ablate threshold: {len(points)} operating points -> {path}")
-    return path
+    return _operating_point_rows(points)
 
 
-def _ablate_batch_size(config, out_dir, backend) -> Path:
+def _ablate_batch_size(config, backend) -> list:
     rows = []
     for batch_size in config.ablation.batch_sizes:
         workload = _build_workload(config, n_queries=batch_size)
         schedule = replace(config.schedule, frontend_workers=batch_size)
         outcomes, stats = serve_batch(workload, config.gate, schedule, backend)
-        rows.append(
-            [
-                batch_size,
-                _accuracy(outcomes),
-                stats.speedup,
-                cal.analytic_speedup(stats.beta_hat, stats.alpha_hat),
-                stats.batch_makespan_s,
-                stats.baseline_makespan_s,
-            ]
-        )
-    path = out_dir / "ablate_batch_size.csv"
-    write_csv(path, ABLATE_BATCH_HEADER, rows)
-    print(f"ablate batch_size: {len(rows)} batch sizes -> {path}")
-    return path
+        analytic = cal.analytic_speedup(stats.beta_hat, stats.alpha_hat)
+        makespans = [stats.batch_makespan_s, stats.baseline_makespan_s]
+        rows.append([batch_size, _accuracy(outcomes), stats.speedup, analytic, *makespans])
+    return rows
 
 
-def _ablate_top_k(config, out_dir, backend) -> Path:
+def _ablate_top_k(config, backend) -> list:
     top_k = config.ablation.top_k
     _, sweeps, _, _ = _offline_sweep(
         "ablate top_k", config, backend, [replace(config.gate, k=k) for k in top_k], [config.gate.tau]
     )
-    rows = [[k, p.acceptance_rate, p.accuracy, p.analytic_speedup] for k, (p,) in zip(top_k, sweeps)]
-    path = out_dir / "ablate_top_k.csv"
-    write_csv(path, ABLATE_TOPK_HEADER, rows)
-    print(f"ablate top_k: {len(rows)} window sizes -> {path}")
-    return path
+    return [[k, p.acceptance_rate, p.accuracy, p.analytic_speedup] for k, (p,) in zip(top_k, sweeps)]
+
+
+def _ablate_aggregation(config, backend) -> list:
+    """The chosen operating point of each scoring strategy, each swept over
+    its own default tau grid."""
+    collections, sweeps, fallback_accuracy, _ = _offline_sweep(
+        "ablate aggregation", config, backend, [replace(config.gate, aggregation=s) for s in Scoring], None
+    )
+    rows = []
+    for strategy, collection, points in zip(Scoring, collections, sweeps):
+        choice = cal.choose_threshold(points, fallback_accuracy)
+        p = choice.point
+        delta = _peak_distance(collection.samples, config.calibration.bandwidth)
+        rows.append(
+            [strategy.value, delta, p.tau, p.acceptance_rate, p.accuracy, p.analytic_speedup, choice.no_safe_point]
+        )
+    return rows
+
+
+# axis -> (row builder, CSV header, what one row stands for)
+_ABLATE_AXES = {
+    "threshold": (_ablate_threshold, OPERATING_POINTS_HEADER, "operating points"),
+    "batch_size": (_ablate_batch_size, ABLATE_BATCH_HEADER, "batch sizes"),
+    "top_k": (_ablate_top_k, ABLATE_TOPK_HEADER, "window sizes"),
+    "aggregation": (_ablate_aggregation, ABLATE_AGGREGATION_HEADER, "scoring strategies"),
+}
+
+
+def cmd_ablate(config: RunConfig, out: str, axis: str) -> int:
+    started = _now()
+    out_dir = _prepare_out(out)
+    build_rows, header, unit = _ABLATE_AXES[axis]
+    rows = build_rows(config, _build_backend(config))
+    path = out_dir / f"ablate_{axis}.csv"
+    write_csv(path, header, rows)
+    print(f"ablate {axis}: {len(rows)} {unit} -> {path}")
+    _write_manifest(out_dir, f"ablate-{axis}", config, [path], started)
+    return EXIT_OK
 
 
 def cmd_report(run_dir: str) -> int:
     directory = Path(run_dir)
     outcomes_path = directory / "outcomes.jsonl"
+    stats_path = directory / "funnel_stats.json"
     if not outcomes_path.exists():
         raise ConfigError(f"no outcomes.jsonl under {run_dir}")
+    stats = None
     try:
-        records = read_jsonl(outcomes_path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{outcomes_path} holds a line that is not JSON: {exc}") from exc
-    if not records:
+        outcomes = [outcome_from_dict(r) for r in read_jsonl(outcomes_path)]
+        if stats_path.exists():
+            stats = stats_from_dict(json.loads(stats_path.read_text(encoding="utf-8")))
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
+        raise ConfigError(f"unreadable record under {run_dir}: {exc!r}") from exc
+    if not outcomes:
         raise ConfigError(f"no outcome records in {outcomes_path}")
-    by_path: dict[str, int] = {}
-    for record in records:
-        by_path[record["path"]] = by_path.get(record["path"], 0) + 1
-    labeled = [r["correct"] for r in records if r.get("correct") is not None]
-    print(f"queries: {len(records)}")
+    by_path = Counter(o.path.value for o in outcomes)
+    labeled = [o.correct for o in outcomes if o.correct is not None]
+    print(f"queries: {len(outcomes)}")
     for name in sorted(by_path):
         print(f"  {name}: {by_path[name]}")
     if labeled:
         print(f"accuracy: {sum(labeled) / len(labeled):.4f}")
-    print(f"mean latency_s: {sum(r['total_latency_s'] for r in records) / len(records):.4f}")
-    stats_path = directory / "funnel_stats.json"
-    if stats_path.exists():
-        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    print(f"mean latency_s: {sum(o.total_latency_s for o in outcomes) / len(outcomes):.4f}")
+    if stats is not None:
         print(
-            f"beta_hat={stats['beta_hat']:.4f} alpha_hat={stats['alpha_hat']:.4f} "
-            f"batch_makespan_s={stats['batch_makespan_s']:.4f} "
-            f"speedup={stats['speedup'] if stats['speedup'] is not None else '-'}"
+            f"beta_hat={stats.beta_hat:.4f} alpha_hat={stats.alpha_hat:.4f} "
+            f"batch_makespan_s={stats.batch_makespan_s:.4f} "
+            f"speedup={stats.speedup if stats.speedup is not None else '-'}"
         )
     return EXIT_OK
 
@@ -466,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate = sub.add_parser("ablate", help="sweep one hyperparameter axis")
     _add_common(ablate)
-    ablate.add_argument("--axis", choices=("threshold", "batch_size", "top_k"), required=True)
+    ablate.add_argument("--axis", choices=tuple(_ABLATE_AXES), required=True)
 
     report = sub.add_parser("report", help="summarize a finished run directory")
     report.add_argument("run_dir")

@@ -23,7 +23,8 @@ from enum import Enum
 from .backends.base import Backend, Query
 from .errors import InfiniteSpeedup, ValidationError
 from .gate import GateConfig
-from .pipeline import QueryOutcome, QueryPath, process_query, run_phases
+# process_query stays importable here: perfbench/tracing.py wraps funnel.process_query by name
+from .pipeline import QueryOutcome, QueryPath, process_query, run_phases  # noqa: F401
 
 __all__ = [
     "ScheduleMode",
@@ -205,10 +206,6 @@ def _wall_clock(schedule: ScheduleConfig):
     return run_stage, stage_s
 
 
-def _result(outcomes, stage_s, baseline_s) -> tuple[list[QueryOutcome], FunnelStats]:
-    return sorted(outcomes, key=lambda o: o.query_id), _build_stats(outcomes, stage_s, baseline_s)
-
-
 def serve_batch(
     queries: list[Query],
     gate_config: GateConfig,
@@ -224,16 +221,39 @@ def serve_batch(
     that baseline reuses the residual queries' agentic costs, so only the
     accepted queries call agentic_run a second time.
     """
-    _check_batch(queries)
+    return _serve(queries, gate_config, schedule, backend, bypass=True)
+
+
+def serve_batch_baseline(
+    queries: list[Query], schedule: ScheduleConfig, backend: Backend
+) -> tuple[list[QueryOutcome], FunnelStats]:
+    """Serve a batch with bypass disabled: no judge, everything agentic.
+
+    This is the reference run speedups are measured against; its reported
+    speedup is exactly 1.
+    """
+    return _serve(queries, None, schedule, backend, bypass=False)
+
+
+def _serve(queries, gate_config, schedule: ScheduleConfig, backend: Backend, bypass: bool):
+    """One batch through run_phases; the two clocks differ only in the stage runner.
+
+    Simulated mode runs each stage in turn on the calling thread, then
+    schedules the reported costs on the virtual clock.
+    """
+    if not queries:
+        raise ValidationError("batch must be non-empty")
+    if len({q.id for q in queries}) != len(queries):
+        raise ValidationError("query ids must be unique within a batch")
     if schedule.mode is ScheduleMode.MEASURED:
         run_stage, stage_s = _wall_clock(schedule)
-        outcomes = run_phases(queries, gate_config, backend, run_stage)
-        return _result(outcomes, stage_s, None)
-    # A virtual schedule does not depend on call order, so each query runs
-    # through all its phases before the next one starts.
-    outcomes = [process_query(query, gate_config, backend) for query in queries]
-    baseline_s = _baseline_s(queries, outcomes, schedule, backend)
-    return _result(outcomes, _virtual_stage_s(outcomes, schedule), baseline_s)
+        outcomes = run_phases(queries, gate_config, backend, run_stage, bypass)
+        baseline_s = None
+    else:
+        outcomes = run_phases(queries, gate_config, backend, bypass=bypass)
+        stage_s = _virtual_stage_s(outcomes, schedule)
+        baseline_s = _baseline_s(queries, outcomes, schedule, backend) if bypass else stage_s["agentic"]
+    return sorted(outcomes, key=lambda o: o.query_id), _build_stats(outcomes, stage_s, baseline_s)
 
 
 def _baseline_s(queries, outcomes, schedule: ScheduleConfig, backend: Backend) -> float:
@@ -252,29 +272,3 @@ def _baseline_s(queries, outcomes, schedule: ScheduleConfig, backend: Backend) -
         for o in outcomes
     ]
     return _list_schedule_makespan(durations, schedule.agentic_workers)
-
-
-def _check_batch(queries) -> None:
-    if not queries:
-        raise ValidationError("batch must be non-empty")
-    ids = {q.id for q in queries}
-    if len(ids) != len(queries):
-        raise ValidationError("query ids must be unique within a batch")
-
-
-def serve_batch_baseline(
-    queries: list[Query], schedule: ScheduleConfig, backend: Backend
-) -> tuple[list[QueryOutcome], FunnelStats]:
-    """Serve a batch with bypass disabled: no judge, everything agentic.
-
-    This is the reference run speedups are measured against; its reported
-    speedup is exactly 1.
-    """
-    _check_batch(queries)
-    if schedule.mode is ScheduleMode.MEASURED:
-        run_stage, stage_s = _wall_clock(schedule)
-        outcomes = run_phases(queries, None, backend, run_stage, bypass=False)
-        return _result(outcomes, stage_s, None)
-    outcomes = run_phases(queries, None, backend, bypass=False)
-    stage_s = _virtual_stage_s(outcomes, schedule)
-    return _result(outcomes, stage_s, stage_s["agentic"])

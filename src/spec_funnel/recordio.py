@@ -35,6 +35,7 @@ __all__ = [
     "KDE_HEADER",
     "UNION_BOUND_HEADER",
     "ABLATE_BATCH_HEADER",
+    "ABLATE_AGGREGATION_HEADER",
     "ABLATE_TOPK_HEADER",
     "REPLAY_HEADER",
 ]
@@ -69,6 +70,15 @@ ABLATE_BATCH_HEADER = [
     "baseline_makespan_s",
 ]
 ABLATE_TOPK_HEADER = ["top_k", "acceptance_rate", "accuracy", "analytic_speedup"]
+ABLATE_AGGREGATION_HEADER = [
+    "strategy",
+    "delta_peak",
+    "chosen_tau",
+    "acceptance_rate",
+    "predicted_accuracy",
+    "analytic_speedup",
+    "no_safe_point",
+]
 REPLAY_HEADER = ["query_id", "answer", "n_tokens", "score", "verdict"]
 
 

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from spec_funnel import cli
+from spec_funnel.backends.synthetic import SyntheticBackend
 from spec_funnel.cli import main
 from spec_funnel.config import apply_override, load_config
 from spec_funnel.errors import ConfigError
 from spec_funnel.recordio import (
+    ABLATE_AGGREGATION_HEADER,
     ABLATE_BATCH_HEADER,
     ABLATE_TOPK_HEADER,
     OPERATING_POINTS_HEADER,
@@ -140,6 +143,18 @@ class TestRunCommand:
         rc = main(["run", "--out", str(tmp_path / "o"), "--set", "gate.tau=1.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["simulated", "measured"])
+    def test_foreign_backend_error_propagates_and_writes_no_data(self, tmp_path, monkeypatch, mode):
+        class Buggy(SyntheticBackend):
+            def agentic_run(self, query):
+                raise KeyError(query.id)
+
+        monkeypatch.setattr(cli, "_build_backend", lambda config: Buggy(config.synthetic))
+        out = tmp_path / "run"
+        with pytest.raises(KeyError):
+            main(["run", "--out", str(out), "--set", f"schedule.mode={mode}", *SMALL])
+        assert not any((out / n).exists() for n in ("outcomes.jsonl", "funnel_stats.json", "summary.csv"))
+
 
 class TestCalibrateCommand:
     def test_outputs(self, tmp_path):
@@ -241,6 +256,50 @@ class TestAblateCommand:
         assert header == ABLATE_TOPK_HEADER
         assert [int(r[0]) for r in rows] == [8, 16, 32, 64, 128]
 
+    def test_speedup_curve_recipe(self, tmp_path):
+        """The README's speedup-vs-batch-size recipe, pinned at full precision."""
+        out = tmp_path / "abl"
+        rc = main(
+            [
+                "ablate", "--axis", "batch_size", "--out", str(out), "--seed", "7",
+                "--set", "workload.quota={\"beta\":0.8,\"alpha\":0.71}",
+                "--set", "synthetic.judge_cost_s=0.02",
+                "--set", "synthetic.speculate_cost_s=0.03",
+                "--set", "synthetic.depth_weights={\"3\":1.0}",
+                "--set", "synthetic.tool_cost={\"low\":0.65,\"high\":0.65}",
+                "--set", "gate.tau=0.9",
+                "--set", "ablation.batch_sizes=[1,8,64,256]",
+            ]
+        )
+        assert rc == 0
+        assert (out / "ablate_batch_size.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "1,1.0,0.9916666666666667,1.0,6.0,5.95",
+            "8,1.0,1.9958071278825997,2.0,23.85,47.60000000000001",
+            "64,1.0,2.285028502850283,2.2857142857142856,166.64999999999998,380.79999999999956",
+            "256,0.94921875,2.3061317183951644,2.3063063063063063,660.5000000000003,1523.2000000000069",
+        ]
+
+    def test_aggregation_axis(self, tmp_path):
+        """One chosen operating point per scoring strategy, rounded as the
+        strategy comparison has always printed them."""
+        out = tmp_path / "abl"
+        rc = main(
+            ["ablate", "--axis", "aggregation", "--out", str(out), "--seed", "3",
+             "--set", "workload.n_queries=2000"]
+        )
+        assert rc == 0
+        header, rows = read_csv_rows(out / "ablate_aggregation.csv")
+        assert header == ABLATE_AGGREGATION_HEADER
+        assert [r[6] for r in rows] == ["false"] * 4
+        digits = (4, 4, 3, 4, 3)
+        rounded = {r[0]: tuple(round(float(v), d) for v, d in zip(r[1:6], digits)) for r in rows}
+        assert rounded == {
+            "log_conf": (0.8474, 0.0485, 0.858, 0.9508, 2.345),
+            "mean": (0.3953, 0.6298, 0.932, 0.9061, 2.653),
+            "bottom_r": (0.4031, 0.5904, 0.887, 0.9332, 2.457),
+            "min": (0.4031, 0.5904, 0.887, 0.9332, 2.457),
+        }
+
 
 class TestReportAndReplay:
     def test_report_prints_summary(self, tmp_path, capsys):
@@ -304,6 +363,24 @@ class TestMalformedInputs:
         main(["run", "--out", str(out), "--seed", "3", *SMALL])
         with open(out / "outcomes.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"query_id": "q9", "path":\n')
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_report_on_record_without_path(self, tmp_path, capsys):
+        (tmp_path / "outcomes.jsonl").write_text('{"query_id": "q1"}\n', encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_report_on_outcomes_that_cannot_be_read(self, tmp_path, capsys):
+        (tmp_path / "outcomes.jsonl").mkdir()
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_report_on_stats_that_are_not_json(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--out", str(out), "--seed", "3", *SMALL])
+        (out / "funnel_stats.json").write_text("{", encoding="utf-8")
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")

@@ -183,11 +183,13 @@ class FaultyBackend:
         self.inner = inner
         self.fail = fail
         self.calls = Counter()
+        self.order = []
         self._lock = threading.Lock()
 
     def _call(self, phase, method, query):
         with self._lock:
             self.calls[phase] += 1
+            self.order.append(phase)
         if query.id in self.fail.get(phase, ()):
             raise BackendUnavailable(f"{phase} down for {query.id}")
         return getattr(self.inner, method)(query)
@@ -332,3 +334,46 @@ class TestSimulatedBaselineReuse:
         assert stats.baseline_makespan_s == _list_schedule_makespan(durations, 2)
         _, baseline = serve_batch_baseline(queries, schedule, FaultyBackend(inner, fail))
         assert stats.baseline_makespan_s == baseline.batch_makespan_s
+
+
+class TestOneServePath:
+    def test_simulated_serve_runs_stage_by_stage(self, synthetic_config, gate_config):
+        queries = make_workload(synthetic_config, 40)
+        backend = FaultyBackend(SyntheticBackend(synthetic_config), {})
+        serve_batch(queries, gate_config, ScheduleConfig(), backend)
+        stages = ["judge", "speculate", "agentic"]
+        assert set(backend.order) == set(stages)
+        assert backend.order == sorted(backend.order, key=stages.index)
+
+
+class BuggyBackend:
+    """Raises a KeyError, a bug rather than an outage, from one route."""
+
+    def __init__(self, inner, route):
+        self.inner = inner
+        self.route = route
+
+    def __getattr__(self, name):
+        if name == self.route:
+            def broken(query):
+                raise KeyError(query.id)
+
+            return broken
+        return getattr(self.inner, name)
+
+
+class TestForeignExceptions:
+    @pytest.mark.parametrize("mode", list(ScheduleMode))
+    @pytest.mark.parametrize("route", ["judge", "speculate", "agentic_run"])
+    def test_serve_batch_propagates_the_same_type(self, synthetic_config, gate_config, mode, route):
+        queries = make_workload(synthetic_config, 30)
+        backend = BuggyBackend(SyntheticBackend(synthetic_config), route)
+        with pytest.raises(KeyError):
+            serve_batch(queries, gate_config, ScheduleConfig(mode=mode), backend)
+
+    @pytest.mark.parametrize("mode", list(ScheduleMode))
+    def test_baseline_propagates_the_same_type(self, synthetic_config, mode):
+        queries = make_workload(synthetic_config, 30)
+        backend = BuggyBackend(SyntheticBackend(synthetic_config), "agentic_run")
+        with pytest.raises(KeyError):
+            serve_batch_baseline(queries, ScheduleConfig(mode=mode), backend)

@@ -9,6 +9,7 @@ import struct
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -323,6 +324,17 @@ class TestKeptAliveTransport:
         assert keepalive_server.closed == 2
         backend.judge(Query(id="q2"))
         assert keepalive_server.connections == 3
+
+    def test_ended_pool_threads_close_their_connections(self, keepalive_server, make_backend):
+        backend = make_backend(keepalive_server.url)
+        for stage in range(3):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                list(pool.map(backend.judge, [Query(id=f"s{stage}-{i}") for i in range(6)]))
+        deadline = time.monotonic() + 10
+        while keepalive_server.closed < keepalive_server.connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert keepalive_server.closed == keepalive_server.connections >= 3
+        assert not backend._connections  # none left over from the ended pools
 
     def test_reconnects_after_server_closed_idle_connection(self, keepalive_server, make_backend):
         keepalive_server.idle_timeout_s = 0.1
