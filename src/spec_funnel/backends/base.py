@@ -18,6 +18,7 @@ __all__ = [
     "AgenticOutput",
     "Backend",
     "substream",
+    "integral",
 ]
 
 
@@ -45,6 +46,14 @@ class Query:
             raise ValidationError("query id must be non-empty")
         if self.true_depth is not None and self.true_depth < 0:
             raise ValidationError("true_depth must be >= 0")
+
+
+def integral(value) -> int:
+    """The int an integral JSON number stands for; any other value, a bool
+    or a fraction included, is a ValidationError."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"must be an integer, got {value!r}")
 
 
 def _check_latency(latency_s: float) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import BackendUnavailable, ValidationError
 from ..gate import TokenLogits
-from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer
+from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral
 
 __all__ = [
     "DEFAULT_JUDGE_PROMPT",
@@ -52,7 +52,7 @@ ENDPOINT_ENV_VAR = "SPEC_FUNNEL_ENDPOINT"
 
 def parse_judge_response(body) -> JudgeOutput:
     try:
-        g = int(body["g"])
+        g = integral(body["g"])
         latency = float(body["latency_s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed judge response: {exc!r}") from exc
@@ -100,12 +100,12 @@ def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
 def parse_agentic_response(body, max_steps: int) -> AgenticOutput:
     try:
         answer = str(body["answer"])
-        depth = int(body["depth"])
+        depth = integral(body["depth"])
         raw_costs = body["step_costs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed agentic response: {exc!r}") from exc
-    if not isinstance(raw_costs, list):
-        raise BackendUnavailable("step_costs must be a list")
+    if not isinstance(raw_costs, list) or not all(isinstance(c, list) and len(c) == 2 for c in raw_costs):
+        raise BackendUnavailable("step_costs must be a list of [llm_s, tool_s] pairs")
     try:
         costs = [(float(a), float(b)) for a, b in raw_costs]
     except (TypeError, ValueError) as exc:
@@ -220,7 +220,7 @@ class RemoteBackend:
             raise BackendUnavailable(f"{route}: HTTP {response.status}")
         try:
             body = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise BackendUnavailable(f"{route}: response is not JSON") from exc
         self._log(route, payload, body)
         return body
@@ -301,7 +301,7 @@ def iter_exchanges(path):
                 continue
             try:
                 yield json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValidationError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
 
 

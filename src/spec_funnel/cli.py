@@ -50,6 +50,7 @@ from .recordio import (
     read_jsonl,
     stats_from_dict,
     stats_to_dict,
+    to_plain,
     write_csv,
     write_json,
     write_jsonl,
@@ -266,18 +267,15 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
     )
     write_csv(outputs[1], OPERATING_POINTS_HEADER, _operating_point_rows(points))
 
+    estimates, delta = _class_densities(collection.samples, config.calibration.bandwidth)
+    for name, estimate in zip(("kde_correct", "kde_incorrect"), estimates):
+        if estimate is not None:
+            path = out_dir / f"{name}.csv"
+            write_csv(path, KDE_HEADER, zip(estimate.grid, estimate.density))
+            outputs.append(path)
     correct_scores = [s.score for s in collection.samples if s.correct]
     incorrect_scores = [s.score for s in collection.samples if not s.correct]
     mean_distance = None
-    for name, class_scores in (("kde_correct", correct_scores), ("kde_incorrect", incorrect_scores)):
-        try:
-            estimate = cal.kde(class_scores, config.calibration.bandwidth)
-        except DegenerateDistribution:
-            continue
-        path = out_dir / f"{name}.csv"
-        write_csv(path, KDE_HEADER, zip(estimate.grid, estimate.density))
-        outputs.append(path)
-    delta = _peak_distance(collection.samples, config.calibration.bandwidth)
     if correct_scores and incorrect_scores:
         mean_distance = abs(float(np.mean(correct_scores)) - float(np.mean(incorrect_scores)))
 
@@ -301,11 +299,7 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
         "strategy": config.gate.aggregation.value,
         "delta_peak": delta,
         "delta_mean": mean_distance,
-        "costs": {
-            "judge_s": costs.judge_s,
-            "speculate_s": costs.speculate_s,
-            "agentic_mean_s": costs.agentic_mean_s,
-        },
+        "costs": to_plain(costs),
         "union_bound_mean": report.union_bound_mean,
         "observed_error_rate": report.observed_error_rate,
         "union_bound_monotone": report.monotone_decreasing,
@@ -324,15 +318,17 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _peak_distance(samples, bandwidth):
-    """Peak distance of the correct and incorrect score densities, or None
-    when either one is degenerate."""
-    try:
-        return cal.peak_distance(
-            [s.score for s in samples if s.correct], [s.score for s in samples if not s.correct], bandwidth
-        )
-    except DegenerateDistribution:
-        return None
+def _class_densities(samples, bandwidth):
+    """The KDEs of the correct and of the incorrect scores, None where one is
+    degenerate, and cal.peak_distance of the two, None unless both exist."""
+    estimates = []
+    for label in (True, False):
+        try:
+            estimates.append(cal.kde([s.score for s in samples if bool(s.correct) is label], bandwidth))
+        except DegenerateDistribution:
+            estimates.append(None)
+    correct, incorrect = estimates
+    return estimates, None if correct is None or incorrect is None else abs(correct.peak - incorrect.peak)
 
 
 def _ablate_threshold(config, backend) -> list:
@@ -372,7 +368,7 @@ def _ablate_aggregation(config, backend) -> list:
     for strategy, collection, points in zip(Scoring, collections, sweeps):
         choice = cal.choose_threshold(points, fallback_accuracy)
         p = choice.point
-        delta = _peak_distance(collection.samples, config.calibration.bandwidth)
+        _, delta = _class_densities(collection.samples, config.calibration.bandwidth)
         rows.append(
             [strategy.value, delta, p.tau, p.acceptance_rate, p.accuracy, p.analytic_speedup, choice.no_safe_point]
         )
@@ -411,8 +407,8 @@ def cmd_report(run_dir: str) -> int:
         outcomes = [outcome_from_dict(r) for r in read_jsonl(outcomes_path)]
         if stats_path.exists():
             stats = stats_from_dict(json.loads(stats_path.read_text(encoding="utf-8")))
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
-        raise ConfigError(f"unreadable record under {run_dir}: {exc!r}") from exc
+    except (OSError, ValueError, RecursionError, ConfigError) as exc:
+        raise ConfigError(f"unreadable record under {run_dir}: {exc}") from exc
     if not outcomes:
         raise ConfigError(f"no outcome records in {outcomes_path}")
     by_path = Counter(o.path.value for o in outcomes)
@@ -510,7 +506,7 @@ def _config_from_args(args) -> RunConfig:
         try:
             artifact = json.loads(Path(calibration_path).read_text(encoding="utf-8"))
             tau = float(artifact["chosen_tau"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConfigError(f"unusable calibration artifact: {exc}", field="--calibration") from exc
         config = replace(config, gate=replace(config.gate, tau=tau))
     return config

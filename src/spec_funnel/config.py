@@ -8,18 +8,15 @@ detectable.
 
 import hashlib
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from .backends.remote import DEFAULT_JUDGE_PROMPT
 from .backends.synthetic import SyntheticConfig
 from .errors import ConfigError, ValidationError
 from .funnel import ScheduleConfig
 from .gate import GateConfig
-from .recordio import canonical_json
+from .recordio import canonical_json, from_plain, to_plain
 
 __all__ = [
     "BackendSettings",
@@ -93,8 +90,6 @@ class AblationSettings:
     thresholds: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "batch_sizes", tuple(int(b) for b in self.batch_sizes))
-        object.__setattr__(self, "top_k", tuple(int(k) for k in self.top_k))
         if self.thresholds is not None:
             object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds) or None)
         if any(b < 1 for b in self.batch_sizes) or any(k < 2 for k in self.top_k):
@@ -114,7 +109,7 @@ class RunConfig:
     ablation: AblationSettings = field(default_factory=AblationSettings)
 
     def to_dict(self) -> dict:
-        data = _plain(self)
+        data = to_plain(self)
         del data["synthetic"]["seed"]  # repeats the top-level seed
         return data
 
@@ -122,74 +117,12 @@ class RunConfig:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
 
-def _plain(value):
-    """JSON-ready copy of a config value: dataclasses become dicts, enums
-    their values, tuples lists, and mapping keys strings."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in sorted(value.items())}
-    return value
-
-
-def _nested_type(annotation):
-    """The dataclass or enum a field annotation names, if any (`X | None` too)."""
-    for kind in get_args(annotation) or (annotation,):
-        if is_dataclass(kind) or (isinstance(kind, type) and issubclass(kind, Enum)):
-            return kind
-    return None
-
-
-def _from_dict(cls, data, path: str, **fixed):
-    """Build dataclass `cls` from a raw config section.
-
-    The allowed keys are the fields of `cls` other than `fixed`, whose
-    values the caller supplies. Nested dataclass and enum fields are built
-    from their annotations; a ConfigError names the failing section.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError("must be an object", field=path)
-    names = [f.name for f in fields(cls) if f.name not in fixed]
-    unknown = set(data) - set(names)
-    if unknown:
-        raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}", field=path or "<root>")
-    hints = get_type_hints(cls)
-    values = dict(fixed)
-    for name in names:
-        if name not in data:
-            continue
-        value = data[name]
-        kind = _nested_type(hints[name])
-        name_path = f"{path}.{name}" if path else name
-        if kind is None or (value is None and type(None) in get_args(hints[name])):
-            values[name] = value
-        elif is_dataclass(kind):
-            values[name] = _from_dict(kind, value or {}, name_path)
-        else:
-            try:
-                values[name] = kind(value)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field=name_path) from exc
-    try:
-        return cls(**values)
-    except (ValidationError, TypeError) as exc:
-        raise ConfigError(str(exc), field=path) from exc
-
-
 def build_config(raw: dict) -> RunConfig:
-    try:
-        seed = int(raw.get("seed", 0))
-        bypass = bool(raw.get("bypass", True))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field="seed") from exc
+    seed = from_plain(int, raw.get("seed", 0), "seed")
     # the synthetic backend's seed is the run seed, never set on its own
-    synthetic = _from_dict(SyntheticConfig, raw.get("synthetic") or {}, "synthetic", seed=seed)
-    sections = {k: v for k, v in raw.items() if k not in ("seed", "bypass", "synthetic")}
-    return _from_dict(RunConfig, sections, "", seed=seed, bypass=bypass, synthetic=synthetic)
+    synthetic = from_plain(SyntheticConfig, raw.get("synthetic"), "synthetic", seed=seed)
+    sections = {k: v for k, v in raw.items() if k != "synthetic"}
+    return from_plain(RunConfig, sections, "", synthetic=synthetic)
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -207,7 +140,7 @@ def apply_override(raw: dict, assignment: str) -> None:
         raise ConfigError("--set expects a non-empty dotted path", field=assignment)
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         value = text
     node = raw
     for key in keys[:-1]:
@@ -233,7 +166,7 @@ def load_config(
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")

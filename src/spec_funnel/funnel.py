@@ -72,9 +72,9 @@ class FunnelStats:
     frontend_makespan_s: float
     fallback_makespan_s: float
     batch_makespan_s: float
-    throughput_qps: float | None
-    baseline_makespan_s: float | None
-    speedup: float | None
+    throughput_qps: float | None = None
+    baseline_makespan_s: float | None = None
+    speedup: float | None = None
 
     def __post_init__(self):
         if self.n_toolfree + self.n_toolreq != self.batch_size:

@@ -61,7 +61,7 @@ class QueryOutcome:
     gate: GateDecision | None
     latency: LatencyBreakdown
     total_latency_s: float
-    correct: bool | None
+    correct: bool | None = None
     error: str | None = None
 
     def __post_init__(self):

@@ -4,16 +4,23 @@ Per-query records and remote exchange logs are line-delimited JSON with
 sorted keys; stats and manifests are single JSON documents; tables and
 curves are UTF-8 CSV with a header row and \n line endings. All writers are
 deterministic so output files are byte-stable for a fixed (config, seed).
+A JSON record holds the fields of its dataclass: to_plain writes it and
+from_plain reads it back, the one schema walker the run config uses too.
 """
 
 import csv
+import functools
 import json
-from dataclasses import asdict, fields
+from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
+from .backends.base import integral
+from .errors import ConfigError, ValidationError
 from .funnel import FunnelStats
-from .gate import GateDecision, Verdict
-from .pipeline import LatencyBreakdown, QueryOutcome, QueryPath
+from .pipeline import QueryOutcome
 
 __all__ = [
     "canonical_json",
@@ -22,10 +29,10 @@ __all__ = [
     "read_jsonl",
     "write_csv",
     "csv_cell",
+    "to_plain",
+    "from_plain",
     "outcome_to_dict",
     "outcome_from_dict",
-    "decision_to_dict",
-    "decision_from_dict",
     "stats_to_dict",
     "stats_from_dict",
     "outcome_lines",
@@ -122,57 +129,87 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([csv_cell(v) for v in row])
 
 
-def decision_to_dict(decision: GateDecision) -> dict:
-    return {
-        "verdict": decision.verdict.value,
-        "score": decision.score,
-        "token_scores": list(decision.token_scores),
-        "diagnostics": list(decision.diagnostics),
-    }
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def decision_from_dict(data: dict) -> GateDecision:
-    return GateDecision(
-        verdict=Verdict(data["verdict"]),
-        score=float(data["score"]),
-        token_scores=tuple(float(s) for s in data["token_scores"]),
-        diagnostics=tuple(data.get("diagnostics", ())),
-    )
+def to_plain(value):
+    """JSON-ready copy of a value: dataclasses become objects of their
+    fields, enums their values, tuples lists, and mapping keys strings."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [v if type(v) is float else to_plain(v) for v in value]
+    if is_dataclass(kind):
+        return {name: to_plain(getattr(value, name)) for name in _hints(kind)}
+    if isinstance(value, Mapping):
+        return {str(k): to_plain(v) for k, v in sorted(value.items())}
+    return value
+
+
+def from_plain(kind, data, path: str = "", **fixed):
+    """Build a value of type `kind` from its plain JSON form.
+
+    A dataclass is built from an object whose keys are its fields other
+    than `fixed`, whose values the caller supplies; unknown keys are
+    rejected and None stands for all defaults. Field values follow their
+    annotations: nested dataclasses and enums, `X | None`, tuples from
+    lists, an int only from an integral number and a bool only from true or
+    false. Anything else passes through for the dataclass to validate. A
+    ConfigError names the path of the failing field.
+    """
+    if type(None) in get_args(kind):
+        if data is None:
+            return None
+        (kind,) = (a for a in get_args(kind) if a is not type(None))
+    if is_dataclass(kind):
+        data = {} if data is None else data
+        if not isinstance(data, dict):
+            raise ConfigError("must be an object", field=path)
+        hints = _hints(kind)
+        unknown = [k for k in data if k not in hints or k in fixed]
+        if unknown:
+            raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}", field=path or "<root>")
+        values = {k: from_plain(hints[k], v, f"{path}.{k}" if path else k) for k, v in data.items()}
+        try:
+            return kind(**fixed, **values)
+        except (ValidationError, TypeError) as exc:
+            raise ConfigError(str(exc), field=path) from exc
+    if kind is bool:
+        if type(data) is bool:
+            return data
+        raise ConfigError(f"must be true or false, got {data!r}", field=path)
+    if get_origin(kind) is tuple:
+        if not isinstance(data, (list, tuple)):
+            raise ConfigError(f"must be a list, got {data!r}", field=path)
+        return tuple(from_plain(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(data))
+    if kind is int or (isinstance(kind, type) and issubclass(kind, Enum)):
+        try:
+            return integral(data) if kind is int else kind(data)
+        except ValueError as exc:  # integral's ValidationError is one too
+            raise ConfigError(str(exc), field=path) from exc
+    return data
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    """Field name -> resolved annotation of dataclass `cls`, in field order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def outcome_to_dict(outcome: QueryOutcome) -> dict:
-    return {
-        "query_id": outcome.query_id,
-        "answer": outcome.answer,
-        "path": outcome.path.value,
-        "gate": decision_to_dict(outcome.gate) if outcome.gate is not None else None,
-        "latency_breakdown": {
-            "judge_s": outcome.latency.judge_s,
-            "speculate_s": outcome.latency.speculate_s,
-            "agentic_s": outcome.latency.agentic_s,
-        },
-        "total_latency_s": outcome.total_latency_s,
-        "correct": outcome.correct,
-        "error": outcome.error,
-    }
+    data = to_plain(outcome)
+    data["latency_breakdown"] = data.pop("latency")  # the on-disk name
+    return data
 
 
 def outcome_from_dict(data: dict) -> QueryOutcome:
-    breakdown = data["latency_breakdown"]
-    return QueryOutcome(
-        query_id=data["query_id"],
-        answer=data["answer"],
-        path=QueryPath(data["path"]),
-        gate=decision_from_dict(data["gate"]) if data.get("gate") is not None else None,
-        latency=LatencyBreakdown(
-            judge_s=float(breakdown["judge_s"]),
-            speculate_s=float(breakdown["speculate_s"]),
-            agentic_s=float(breakdown["agentic_s"]),
-        ),
-        total_latency_s=float(data["total_latency_s"]),
-        correct=data.get("correct"),
-        error=data.get("error"),
-    )
+    if isinstance(data, dict):
+        data = {("latency" if k == "latency_breakdown" else k): v for k, v in data.items()}
+    return from_plain(QueryOutcome, data)
 
 
 def outcome_lines(outcomes) -> bytes:
@@ -181,14 +218,9 @@ def outcome_lines(outcomes) -> bytes:
 
 
 def stats_to_dict(stats: FunnelStats) -> dict:
-    return asdict(stats)
+    return to_plain(stats)
 
 
 def stats_from_dict(data: dict) -> FunnelStats:
     """Counts and rates are required; the optional fields default to None."""
-    return FunnelStats(
-        **{
-            f.name: f.type(data[f.name]) if f.type in (int, float) else data.get(f.name)
-            for f in fields(FunnelStats)
-        }
-    )
+    return from_plain(FunnelStats, data)

@@ -2,14 +2,16 @@
 reproducibility, exit codes, and pinned CSV headers."""
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from spec_funnel import cli
 from spec_funnel.backends.synthetic import SyntheticBackend
 from spec_funnel.cli import main
-from spec_funnel.config import apply_override, load_config
+from spec_funnel.config import RunConfig, apply_override, load_config
 from spec_funnel.errors import ConfigError
 from spec_funnel.recordio import (
     ABLATE_AGGREGATION_HEADER,
@@ -392,3 +394,122 @@ class TestMalformedInputs:
         rc = main(["run", "--out", str(tmp_path / "o"), "--calibration", str(path), *SMALL])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: --calibration: ")
+
+
+def _int_fields(cls=RunConfig, prefix=""):
+    """Dotted path of every int field of every config section, read from the
+    dataclasses; synthetic.seed is the run seed and cannot be set."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        path = prefix + f.name
+        if hints[f.name] is int and path != "synthetic.seed":
+            yield path
+        elif is_dataclass(hints[f.name]):
+            yield from _int_fields(hints[f.name], path + ".")
+
+
+INT_FIELDS = sorted(_int_fields())
+
+
+class TestTypedOverrides:
+    def test_every_section_has_its_int_fields_listed(self):
+        sections = {path.split(".")[0] for path in INT_FIELDS if "." in path}
+        assert sections == {"backend", "synthetic", "gate", "schedule", "workload", "calibration"}
+        assert "seed" in INT_FIELDS
+
+    @pytest.mark.parametrize("path", INT_FIELDS)
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_non_integer_exits_2_naming_the_field(self, tmp_path, capsys, path, value):
+        assert main(["run", "--out", str(tmp_path / "o"), "--set", f"{path}={value}"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ("bypass=off", "bypass"),
+            ("bypass=1", "bypass"),
+            ("seed=1.5", "seed"),
+            ("ablation.batch_sizes=[2.5]", "ablation.batch_sizes[0]"),
+            ("ablation.top_k=[8, true]", "ablation.top_k[1]"),
+            ("ablation.top_k=8", "ablation.top_k"),
+        ],
+    )
+    def test_mistyped_value_exits_2_naming_the_field(self, tmp_path, capsys, override, path):
+        assert main(["run", "--out", str(tmp_path / "o"), "--set", override]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--out", str(out), "--set", "workload.n_queries=20.0", "--set", "gate.k=8.0"]) == 0
+        assert len(read_jsonl(out / "outcomes.jsonl")) == 20
+        assert load_config(None, ["workload.n_queries=20.0"]) == load_config(None, ["workload.n_queries=20"])
+
+    def test_bypass_false_runs_the_baseline(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--out", str(out), "--set", "bypass=false", *SMALL]) == 0
+        paths = {r["path"] for r in read_jsonl(out / "outcomes.jsonl")}
+        assert paths == {"judged_tool_required_fallback"}
+
+
+def _deep_json(depth=100_000):
+    return "[" * depth + "]" * depth
+
+
+class TestDeeplyNestedInput:
+    def test_report_on_deep_outcome_line(self, tmp_path, capsys):
+        (tmp_path / "outcomes.jsonl").write_text(_deep_json() + "\n", encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_deep_config_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(_deep_json(), encoding="utf-8")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_deep_calibration_artifact(self, tmp_path, capsys):
+        path = tmp_path / "calibration.json"
+        path.write_text(_deep_json(), encoding="utf-8")
+        assert main(["run", "--out", str(tmp_path / "o"), "--calibration", str(path), *SMALL]) == 2
+        assert capsys.readouterr().err.startswith("config error: --calibration: ")
+
+    def test_deep_replay_log_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text(_deep_json() + "\n", encoding="utf-8")
+        assert main(["replay", str(log), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+class TestReportRecords:
+    def test_report_on_outcome_with_unknown_key(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--out", str(out), "--seed", "3", *SMALL])
+        record = read_jsonl(out / "outcomes.jsonl")[0]
+        with open(out / "outcomes.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**record, "bogus": 1}) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "unknown key(s): bogus" in err
+
+    def test_report_on_fractional_batch_size(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--out", str(out), "--seed", "3", *SMALL])
+        stats = json.loads((out / "funnel_stats.json").read_text(encoding="utf-8"))
+        (out / "funnel_stats.json").write_text(json.dumps({**stats, "batch_size": 60.5}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "batch_size" in err
+
+    def test_calibrate_fits_each_class_density_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_kde = cli.cal.kde
+        monkeypatch.setattr(cli.cal, "kde", lambda *a, **k: calls.append(1) or real_kde(*a, **k))
+        assert main(["calibrate", "--out", str(tmp_path / "cal"), *SMALL]) == 0
+        assert len(calls) == 2
+        artifact = json.loads((tmp_path / "cal" / "calibration.json").read_text(encoding="utf-8"))
+        assert artifact["delta_peak"] is not None

@@ -62,6 +62,13 @@ class StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"not json")
             return
+        if behavior == "deep":
+            payload = b"[" * 100_000 + b"]" * 100_000
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+            return
         if self.path == "/judge":
             body = {"g": 1 if "tool" in request.get("question", "") else 0, "latency_s": 0.05}
         elif self.path == "/speculate":
@@ -240,6 +247,12 @@ class TestErrorContracts:
         with pytest.raises(BackendUnavailable, match="not JSON"):
             backend.judge(QUERY)
 
+    def test_deeply_nested_json(self, stub_server):
+        StubHandler.behaviors = {"/judge": "deep"}
+        backend = RemoteBackend(stub_server)
+        with pytest.raises(BackendUnavailable, match="not JSON"):
+            backend.judge(QUERY)
+
     def test_timeout(self, stub_server):
         StubHandler.behaviors = {"/judge": "sleep"}
         backend = RemoteBackend(stub_server, timeout_s=0.2)
@@ -414,6 +427,13 @@ class TestExchangeLogAndReplay:
             list(iter_exchanges(bad))
 
 
+    def test_deeply_nested_log_line_rejected(self, tmp_path):
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="deep.jsonl:1"):
+            list(iter_exchanges(bad))
+
+
 class TestParserEdgeCases:
     def test_speculate_schema_violations(self):
         with pytest.raises(BackendUnavailable):
@@ -475,3 +495,23 @@ class TestParserEdgeCases:
             parse_speculate_response({**speculate_body(), "latency_s": value}, 8)
         with pytest.raises(BackendUnavailable):
             parse_agentic_response({"answer": "B", "depth": 0, "step_costs": [[value, 0.0]]}, 5)
+
+    @pytest.mark.parametrize(
+        "route, body",
+        [
+            ("judge", {"g": 0.9, "latency_s": 0.05}),
+            ("judge", {"g": True, "latency_s": 0.05}),
+            ("agentic", {"answer": "B", "depth": 0.7, "step_costs": [[0.5, 0.0]]}),
+            ("agentic", {"answer": "B", "depth": 1, "step_costs": ["12", [0.5, 0.0]]}),
+            ("agentic", {"answer": "B", "depth": 0, "step_costs": [[0.5, 0.0, 0.1]]}),
+        ],
+    )
+    def test_values_that_would_truncate_unavailable(self, route, body):
+        parse = parse_judge_response if route == "judge" else lambda b: parse_agentic_response(b, 5)
+        with pytest.raises(BackendUnavailable):
+            parse(body)
+
+    def test_integral_float_flag_and_depth_accepted(self):
+        assert parse_judge_response({"g": 1.0, "latency_s": 0.05}).g == 1
+        body = {"answer": "B", "depth": 1.0, "step_costs": [[0.5, 0.2], [0.5, 0.0]]}
+        assert parse_agentic_response(body, 5).depth == 1
