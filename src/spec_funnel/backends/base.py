@@ -19,6 +19,7 @@ __all__ = [
     "Backend",
     "substream",
     "integral",
+    "real",
 ]
 
 
@@ -54,6 +55,14 @@ def integral(value) -> int:
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
     raise ValidationError(f"must be an integer, got {value!r}")
+
+
+def real(value):
+    """A JSON number, an int or a float, returned as it is; any other value,
+    a bool or a numeric string included, is a ValidationError."""
+    if type(value) is float or type(value) is int:
+        return value
+    raise ValidationError(f"must be a number, got {value!r}")
 
 
 def _check_latency(latency_s: float) -> None:

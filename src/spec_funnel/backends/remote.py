@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import BackendUnavailable, ValidationError
 from ..gate import TokenLogits
-from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral
+from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral, real
 
 __all__ = [
     "DEFAULT_JUDGE_PROMPT",
@@ -53,7 +53,7 @@ ENDPOINT_ENV_VAR = "SPEC_FUNNEL_ENDPOINT"
 def parse_judge_response(body) -> JudgeOutput:
     try:
         g = integral(body["g"])
-        latency = float(body["latency_s"])
+        latency = float(real(body["latency_s"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed judge response: {exc!r}") from exc
     try:
@@ -66,7 +66,7 @@ def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
     try:
         answer = str(body["answer"])
         tokens = body["tokens"]
-        latency = float(body["latency_s"])
+        latency = float(real(body["latency_s"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed speculate response: {exc!r}") from exc
     if not isinstance(tokens, list):
@@ -77,7 +77,7 @@ def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
         if not raw:
             raise BackendUnavailable("missing logprobs")
         try:
-            values = [float(e["logprob"]) for e in raw]
+            values = [float(real(e["logprob"])) for e in raw]
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed logprob entry: {exc!r}") from exc
         # -inf marks a masked token, which lies outside the support and is
@@ -107,7 +107,7 @@ def parse_agentic_response(body, max_steps: int) -> AgenticOutput:
     if not isinstance(raw_costs, list) or not all(isinstance(c, list) and len(c) == 2 for c in raw_costs):
         raise BackendUnavailable("step_costs must be a list of [llm_s, tool_s] pairs")
     try:
-        costs = [(float(a), float(b)) for a, b in raw_costs]
+        costs = [(real(a), real(b)) for a, b in raw_costs]
     except (TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed step cost: {exc!r}") from exc
     if depth < 0 or len(costs) != depth + 1:

@@ -250,8 +250,7 @@ class SyntheticBackend:
     def _ground_truth(self, query: Query) -> str:
         if query.ground_truth is not None:
             return query.ground_truth
-        rng = substream(self.config.seed, query.id, "truth")
-        return CHOICES[int(rng.integers(len(CHOICES)))]
+        return _derive_truth(self.config.seed, query.id)
 
     def judge(self, query: Query) -> JudgeOutput:
         requires, _ = self._latents(query)
@@ -306,23 +305,27 @@ def make_workload(config: SyntheticConfig, n_queries: int) -> list[Query]:
     """Bernoulli workload: latent flags sampled from the configured priors."""
     if n_queries < 1:
         raise ValidationError("workload must contain at least one query")
-    queries = []
-    for i in range(n_queries):
-        qid = f"q{i:06d}"
-        rng = substream(config.seed, qid, "workload")
-        requires = bool(rng.random() < config.p_tool_required)
-        depth = sample_weighted(rng, config.depth_weights)
-        queries.append(
-            Query(
-                id=qid,
-                image_ref=f"synthetic://{qid}",
-                question=f"synthetic question {i}",
-                ground_truth=_derive_truth(config.seed, qid),
-                true_requires_tools=requires,
-                true_depth=depth,
-            )
-        )
-    return queries
+    return [_workload_query(config, i) for i in range(n_queries)]
+
+
+def _workload_query(config: SyntheticConfig, i: int, requires_tools=None, draft_correct=None) -> Query:
+    """Query i of a synthetic workload. Its "workload" stream draws the
+    Bernoulli tool flag, then the depth; a quota workload pins the flag with
+    `requires_tools` in place of the drawn one, and the draft with
+    `draft_correct`."""
+    qid = f"q{i:06d}"
+    rng = substream(config.seed, qid, "workload")
+    requires = bool(rng.random() < config.p_tool_required)
+    depth = sample_weighted(rng, config.depth_weights)
+    return Query(
+        id=qid,
+        image_ref=f"synthetic://{qid}",
+        question=f"synthetic question {i}",
+        ground_truth=_derive_truth(config.seed, qid),
+        true_requires_tools=requires if requires_tools is None else requires_tools,
+        true_depth=depth,
+        true_draft_correct=draft_correct,
+    )
 
 
 def _derive_truth(seed: int, query_id: str) -> str:
@@ -355,25 +358,11 @@ def make_quota_workload(
             raise ValidationError(f"{name} must lie in [0, 1]")
     n_toolfree = int(round(Fraction(str(toolfree_fraction)) * n_queries))
     n_accept = math.floor(Fraction(str(accept_fraction)) * n_toolfree)
-    queries = []
-    for i in range(n_queries):
-        qid = f"q{i:06d}"
-        rng = substream(config.seed, qid, "workload")
-        rng.random()  # discard the Bernoulli tool prior; quota pins the flag
-        depth = sample_weighted(rng, config.depth_weights)
-        toolfree = i < n_toolfree
-        queries.append(
-            Query(
-                id=qid,
-                image_ref=f"synthetic://{qid}",
-                question=f"synthetic question {i}",
-                ground_truth=_derive_truth(config.seed, qid),
-                true_requires_tools=not toolfree,
-                true_depth=depth,
-                true_draft_correct=bool(toolfree and i < n_accept),
-            )
-        )
-    return queries
+    # n_accept <= n_toolfree, so every accepted query is screened tool-free
+    return [
+        _workload_query(config, i, requires_tools=i >= n_toolfree, draft_correct=i < n_accept)
+        for i in range(n_queries)
+    ]
 
 
 def validate_quota_gate(config: SyntheticConfig, gate_config) -> None:

@@ -29,6 +29,7 @@ __all__ = [
     "collect_scores",
     "collect_score_sets",
     "kde",
+    "class_densities",
     "peak_distance",
     "analytic_speedup",
     "sweep_threshold",
@@ -235,9 +236,28 @@ def kde(scores, bandwidth: float | None = None) -> DensityEstimate:
     return DensityEstimate(grid=grid, density=density, bandwidth=h)
 
 
+def class_densities(correct_scores, incorrect_scores, bandwidth: float | None = None):
+    """The KDEs of the correct and of the incorrect scores, each None where
+    its class is degenerate, and the distance between their peaks, None
+    unless both exist: (correct, incorrect, distance)."""
+    estimates = []
+    for scores in (correct_scores, incorrect_scores):
+        try:
+            estimates.append(kde(scores, bandwidth))
+        except DegenerateDistribution:
+            estimates.append(None)
+    correct, incorrect = estimates
+    distance = None if correct is None or incorrect is None else abs(correct.peak - incorrect.peak)
+    return correct, incorrect, distance
+
+
 def peak_distance(correct_scores, incorrect_scores, bandwidth: float | None = None) -> float:
-    """Distance between the density modes of correct and incorrect scores."""
-    return abs(kde(correct_scores, bandwidth).peak - kde(incorrect_scores, bandwidth).peak)
+    """Distance between the density modes of correct and incorrect scores;
+    a DegenerateDistribution when either class has no density."""
+    *_, distance = class_densities(correct_scores, incorrect_scores, bandwidth)
+    if distance is None:
+        raise DegenerateDistribution("each class needs at least 2 scores with nonzero spread")
+    return distance
 
 
 def default_tau_grid(scores, n_taus: int = 33) -> list[float]:

@@ -1,8 +1,15 @@
 """Command-line front door: run / calibrate / ablate / report / replay.
 
-All outputs land in the --out directory; data files (records, stats, CSV
-tables) are byte-reproducible from (config, seed) in simulated mode, while
-the run manifest additionally carries wall-clock timestamps.
+Every command but report is a function from the resolved config and the
+parsed arguments to `(files, closing line)`. `files` maps a file name to
+its content: `(header, rows)` for a .csv file, an iterable of records for a
+.jsonl file, one document for a .json file. One runner, `_write_run`,
+creates the --out directory before the command runs, writes each file by
+its suffix, adds a `manifest.json` whose `outputs` are those names, and
+prints the closing line; a command that fails writes no data file. Data
+files are byte-reproducible from (config, seed) in simulated mode, while the
+manifest also carries wall-clock timestamps. One table maps each
+SpecFunnelError to an exit code and a stderr label, for report as well.
 """
 
 import argparse
@@ -17,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration as cal
+from .backends.base import real
 from .backends.remote import ENDPOINT_ENV_VAR, RemoteBackend, replay_speculations
 from .backends.synthetic import (
     SyntheticBackend,
@@ -34,7 +42,7 @@ from .errors import (
 )
 from .funnel import serve_batch, serve_batch_baseline
 from .gate import Scoring, gate
-from .pipeline import QueryPath, answers_match, expected_latency
+from .pipeline import QueryPath, expected_latency, run_phases
 from .recordio import (
     ABLATE_AGGREGATION_HEADER,
     ABLATE_BATCH_HEADER,
@@ -60,6 +68,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_DEGENERATE = 4
+
+# error class -> (exit code, stderr label); an error takes the entry of the
+# first class in its MRO that has one
+_EXITS = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    ValidationError: (EXIT_CONFIG, "config error"),
+    BackendUnavailable: (EXIT_BACKEND, "backend error"),
+    DegenerateDistribution: (EXIT_DEGENERATE, "degenerate statistics"),
+    SpecFunnelError: (EXIT_CONFIG, "error"),
+}
 
 
 def _build_backend(config: RunConfig):
@@ -142,32 +160,11 @@ def _summary_row(outcomes, stats):
     ]
 
 
-def _write_manifest(out_dir: Path, command: str, config: RunConfig, outputs, started: str) -> None:
-    manifest = {
-        "run_id": f"{command}-{config.seed}-{config.digest()[:12]}",
-        "config_digest": config.digest(),
-        "seed": config.seed,
-        "command": command,
-        "outputs": sorted(str(p.name) for p in outputs),
-        "started_utc": started,
-        "finished_utc": _now(),
-    }
-    write_json(out_dir / "manifest.json", manifest)
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _prepare_out(out: str) -> Path:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def cmd_run(config: RunConfig, out: str) -> int:
-    started = _now()
-    out_dir = _prepare_out(out)
+def cmd_run(config: RunConfig, args) -> tuple[dict, str]:
     backend = _build_backend(config)
     workload = _build_workload(config)
     if config.bypass:
@@ -176,40 +173,31 @@ def cmd_run(config: RunConfig, out: str) -> int:
         outcomes, stats = serve_batch_baseline(workload, config.schedule, backend)
     if all(o.error for o in outcomes):
         raise BackendUnavailable(f"every query failed; first error: {outcomes[0].error}")
-    outputs = [out_dir / "outcomes.jsonl", out_dir / "funnel_stats.json", out_dir / "summary.csv"]
-    write_jsonl(outputs[0], (outcome_to_dict(o) for o in outcomes))
-    write_json(outputs[1], stats_to_dict(stats))
-    write_csv(outputs[2], SUMMARY_HEADER, [_summary_row(outcomes, stats)])
-    _write_manifest(out_dir, "run", config, outputs, started)
+    files = {
+        "outcomes.jsonl": (outcome_to_dict(o) for o in outcomes),
+        "funnel_stats.json": stats_to_dict(stats),
+        "summary.csv": (SUMMARY_HEADER, [_summary_row(outcomes, stats)]),
+    }
     accuracy = _accuracy(outcomes)
-    print(
+    return files, (
         f"run: {stats.batch_size} queries, beta_hat={stats.beta_hat:.3f}, "
         f"alpha_hat={stats.alpha_hat:.3f}, "
         f"accuracy={'-' if accuracy is None else f'{accuracy:.4f}'}, "
         f"speedup={'-' if stats.speedup is None else f'{stats.speedup:.3f}'}"
     )
-    return EXIT_OK
 
 
 def _agentic_reference(workload, backend):
-    """Run the agentic loop once per query: fallback accuracy, mean cost and
-    the number of failed loops, which count in neither."""
-    correct = []
-    latencies = []
-    failures = []
-    for query in workload:
-        try:
-            output = backend.agentic_run(query)
-        except BackendUnavailable as exc:
-            failures.append(str(exc))
-            continue
-        latencies.append(output.latency_s)
-        if query.ground_truth is not None:
-            correct.append(answers_match(output.answer, query.ground_truth))
-    if failures and not latencies:
-        raise BackendUnavailable(f"every agentic run failed; first error: {failures[0]}")
-    accuracy = float(np.mean(correct)) if correct else 0.0
-    return accuracy, _mean(latencies), len(failures)
+    """Run the agentic loop once per query, as the baseline does: fallback
+    accuracy, mean cost and the number of failed loops, which count in
+    neither."""
+    outcomes = run_phases(workload, None, backend, bypass=False)
+    done = [o for o in outcomes if o.error is None]
+    if outcomes and not done:
+        raise BackendUnavailable(f"every agentic run failed; first error: {outcomes[0].error}")
+    accuracy = _accuracy(outcomes)
+    n_failed = len(outcomes) - len(done)
+    return 0.0 if accuracy is None else accuracy, _mean([o.latency.agentic_s for o in done]), n_failed
 
 
 def _warn_failed(command: str, n_failed: int) -> None:
@@ -250,41 +238,36 @@ def _operating_point_rows(points):
     return [[p.tau, p.acceptance_rate, p.accuracy, p.analytic_speedup, p.expected_latency_s] for p in points]
 
 
-def cmd_calibrate(config: RunConfig, out: str) -> int:
-    started = _now()
-    out_dir = _prepare_out(out)
+def _by_label(samples):
+    """The scores of the correct samples and of the incorrect ones."""
+    return [s.score for s in samples if s.correct], [s.score for s in samples if not s.correct]
+
+
+def cmd_calibrate(config: RunConfig, args) -> tuple[dict, str]:
     backend = _build_backend(config)
     (collection,), (points,), fallback_accuracy, costs = _offline_sweep(
         "calibrate", config, backend, [config.gate], config.calibration.taus
     )
     choice = cal.choose_threshold(points, fallback_accuracy)
-
-    outputs = [out_dir / "scores.csv", out_dir / "operating_points.csv", out_dir / "union_bound.csv"]
-    write_csv(
-        outputs[0],
-        SCORES_HEADER,
-        [[s.query_id, s.score, s.correct, s.strategy.value] for s in collection.samples],
+    samples = collection.samples
+    correct_scores, incorrect_scores = _by_label(samples)
+    kde_correct, kde_incorrect, delta = cal.class_densities(
+        correct_scores, incorrect_scores, config.calibration.bandwidth
     )
-    write_csv(outputs[1], OPERATING_POINTS_HEADER, _operating_point_rows(points))
-
-    estimates, delta = _class_densities(collection.samples, config.calibration.bandwidth)
-    for name, estimate in zip(("kde_correct", "kde_incorrect"), estimates):
-        if estimate is not None:
-            path = out_dir / f"{name}.csv"
-            write_csv(path, KDE_HEADER, zip(estimate.grid, estimate.density))
-            outputs.append(path)
-    correct_scores = [s.score for s in collection.samples if s.correct]
-    incorrect_scores = [s.score for s in collection.samples if not s.correct]
     mean_distance = None
     if correct_scores and incorrect_scores:
         mean_distance = abs(float(np.mean(correct_scores)) - float(np.mean(incorrect_scores)))
+    report = cal.union_bound_report(collection.token_scores, [s.correct for s in samples])
 
-    report = cal.union_bound_report(
-        collection.token_scores, [s.correct for s in collection.samples]
-    )
-    write_csv(outputs[2], UNION_BOUND_HEADER, report.bins)
-
-    artifact = {
+    files = {
+        "scores.csv": (SCORES_HEADER, [[s.query_id, s.score, s.correct, s.strategy.value] for s in samples]),
+        "operating_points.csv": (OPERATING_POINTS_HEADER, _operating_point_rows(points)),
+        "union_bound.csv": (UNION_BOUND_HEADER, report.bins),
+    }
+    for name, estimate in (("kde_correct.csv", kde_correct), ("kde_incorrect.csv", kde_incorrect)):
+        if estimate is not None:
+            files[name] = (KDE_HEADER, zip(estimate.grid, estimate.density))
+    files["calibration.json"] = {
         "chosen_tau": choice.point.tau,
         "no_safe_point": choice.no_safe_point,
         "acceptance_rate": choice.point.acceptance_rate,
@@ -294,7 +277,7 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
         "baseline_accuracy": fallback_accuracy,
         "fallback_accuracy": fallback_accuracy,
         "beta_hat": collection.beta_hat,
-        "n_samples": len(collection.samples),
+        "n_samples": len(samples),
         "n_tool_required": collection.n_tool_required,
         "strategy": config.gate.aggregation.value,
         "delta_peak": delta,
@@ -305,30 +288,12 @@ def cmd_calibrate(config: RunConfig, out: str) -> int:
         "union_bound_monotone": report.monotone_decreasing,
         "config_digest": config.digest(),
     }
-    calibration_path = out_dir / "calibration.json"
-    write_json(calibration_path, artifact)
-    outputs.append(calibration_path)
-    _write_manifest(out_dir, "calibrate", config, outputs, started)
-    print(
-        f"calibrate: {len(collection.samples)} samples, chosen tau={choice.point.tau:.4f}, "
+    return files, (
+        f"calibrate: {len(samples)} samples, chosen tau={choice.point.tau:.4f}, "
         f"predicted accuracy={choice.point.accuracy:.4f}, "
         f"delta={'-' if delta is None else f'{delta:.3f}'}"
         + (" [no safe point]" if choice.no_safe_point else "")
     )
-    return EXIT_OK
-
-
-def _class_densities(samples, bandwidth):
-    """The KDEs of the correct and of the incorrect scores, None where one is
-    degenerate, and cal.peak_distance of the two, None unless both exist."""
-    estimates = []
-    for label in (True, False):
-        try:
-            estimates.append(cal.kde([s.score for s in samples if bool(s.correct) is label], bandwidth))
-        except DegenerateDistribution:
-            estimates.append(None)
-    correct, incorrect = estimates
-    return estimates, None if correct is None or incorrect is None else abs(correct.peak - incorrect.peak)
 
 
 def _ablate_threshold(config, backend) -> list:
@@ -368,7 +333,7 @@ def _ablate_aggregation(config, backend) -> list:
     for strategy, collection, points in zip(Scoring, collections, sweeps):
         choice = cal.choose_threshold(points, fallback_accuracy)
         p = choice.point
-        _, delta = _class_densities(collection.samples, config.calibration.bandwidth)
+        *_, delta = cal.class_densities(*_by_label(collection.samples), config.calibration.bandwidth)
         rows.append(
             [strategy.value, delta, p.tau, p.acceptance_rate, p.accuracy, p.analytic_speedup, choice.no_safe_point]
         )
@@ -384,16 +349,11 @@ _ABLATE_AXES = {
 }
 
 
-def cmd_ablate(config: RunConfig, out: str, axis: str) -> int:
-    started = _now()
-    out_dir = _prepare_out(out)
-    build_rows, header, unit = _ABLATE_AXES[axis]
+def cmd_ablate(config: RunConfig, args) -> tuple[dict, str]:
+    build_rows, header, unit = _ABLATE_AXES[args.axis]
     rows = build_rows(config, _build_backend(config))
-    path = out_dir / f"ablate_{axis}.csv"
-    write_csv(path, header, rows)
-    print(f"ablate {axis}: {len(rows)} {unit} -> {path}")
-    _write_manifest(out_dir, f"ablate-{axis}", config, [path], started)
-    return EXIT_OK
+    name = f"ablate_{args.axis}.csv"
+    return {name: (header, rows)}, f"ablate {args.axis}: {len(rows)} {unit} -> {Path(args.out) / name}"
 
 
 def cmd_report(run_dir: str) -> int:
@@ -428,25 +388,51 @@ def cmd_report(run_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_replay(config: RunConfig, log_path: str, out: str) -> int:
-    started = _now()
-    out_dir = _prepare_out(out)
-    answers = replay_speculations(log_path, config.backend.top_logprobs)
+def cmd_replay(config: RunConfig, args) -> tuple[dict, str]:
+    answers = replay_speculations(args.log, config.backend.top_logprobs)
     if not answers:
-        raise ValidationError(f"no /speculate exchanges found in {log_path}")
+        raise ValidationError(f"no /speculate exchanges found in {args.log}")
     rows = []
     for qid in sorted(answers):
         draft = answers[qid]
         decision = gate(draft.token_logits, config.gate)
         rows.append([qid, draft.answer, len(draft.token_logits), decision.score, decision.verdict.value])
-    path = out_dir / "replay_scores.csv"
-    write_csv(path, REPLAY_HEADER, rows)
-    _write_manifest(out_dir, "replay", config, [path], started)
-    print(f"replay: {len(rows)} speculations rescored -> {path}")
+    name = "replay_scores.csv"
+    return {name: (REPLAY_HEADER, rows)}, f"replay: {len(rows)} speculations rescored -> {Path(args.out) / name}"
+
+
+def _write_run(config: RunConfig, args) -> int:
+    """Run one command into --out: write its files by suffix, then the
+    manifest, then print its closing line."""
+    started = _now()
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files, closing = args.produce(config, args)
+    for name, content in files.items():
+        path = out_dir / name
+        if name.endswith(".csv"):
+            write_csv(path, *content)
+        elif name.endswith(".jsonl"):
+            write_jsonl(path, content)
+        else:
+            write_json(path, content)
+    command = f"ablate-{args.axis}" if args.command == "ablate" else args.command
+    manifest = {
+        "run_id": f"{command}-{config.seed}-{config.digest()[:12]}",
+        "config_digest": config.digest(),
+        "seed": config.seed,
+        "command": command,
+        "outputs": sorted(files),
+        "started_utc": started,
+        "finished_utc": _now(),
+    }
+    write_json(out_dir / "manifest.json", manifest)
+    print(closing)
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, produce) -> None:
+    parser.set_defaults(produce=produce)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override the top-level seed")
     parser.add_argument("--endpoint", help=f"remote endpoint URL (or {ENDPOINT_ENV_VAR})")
@@ -469,22 +455,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="serve a batch and write outcome records")
-    _add_common(run)
+    _add_common(run, cmd_run)
     run.add_argument("--bypass", choices=("on", "off"), default=None, help="disable to run the pure agentic baseline")
     run.add_argument("--calibration", help="calibration.json whose chosen tau overrides gate.tau")
 
     calibrate = sub.add_parser("calibrate", help="collect scores and pick a threshold")
-    _add_common(calibrate)
+    _add_common(calibrate, cmd_calibrate)
 
     ablate = sub.add_parser("ablate", help="sweep one hyperparameter axis")
-    _add_common(ablate)
+    _add_common(ablate, cmd_ablate)
     ablate.add_argument("--axis", choices=tuple(_ABLATE_AXES), required=True)
 
     report = sub.add_parser("report", help="summarize a finished run directory")
     report.add_argument("run_dir")
 
     replay = sub.add_parser("replay", help="rescore speculations from an exchange log")
-    _add_common(replay)
+    _add_common(replay, cmd_replay)
     replay.add_argument("log", help="line-delimited JSON exchange log")
 
     return parser
@@ -505,7 +491,7 @@ def _config_from_args(args) -> RunConfig:
     if calibration_path:
         try:
             artifact = json.loads(Path(calibration_path).read_text(encoding="utf-8"))
-            tau = float(artifact["chosen_tau"])
+            tau = float(real(artifact["chosen_tau"]))
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConfigError(f"unusable calibration artifact: {exc}", field="--calibration") from exc
         config = replace(config, gate=replace(config.gate, tau=tau))
@@ -517,31 +503,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.run_dir)
-        config = _config_from_args(args)
-        if args.command == "run":
-            return cmd_run(config, args.out)
-        if args.command == "calibrate":
-            return cmd_calibrate(config, args.out)
-        if args.command == "ablate":
-            return cmd_ablate(config, args.out, args.axis)
-        if args.command == "replay":
-            return cmd_replay(config, args.log, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateDistribution as exc:
-        print(f"degenerate statistics: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except BackendUnavailable as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _write_run(_config_from_args(args), args)
     except SpecFunnelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, label = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .backends.base import integral
+from .backends.base import integral, real
 from .errors import ConfigError, ValidationError
 from .funnel import FunnelStats
 from .pipeline import QueryOutcome
@@ -130,6 +130,7 @@ def write_csv(path, header, rows) -> None:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_NUMBERS = {int: integral, float: real}
 
 
 def to_plain(value):
@@ -156,9 +157,9 @@ def from_plain(kind, data, path: str = "", **fixed):
     than `fixed`, whose values the caller supplies; unknown keys are
     rejected and None stands for all defaults. Field values follow their
     annotations: nested dataclasses and enums, `X | None`, tuples from
-    lists, an int only from an integral number and a bool only from true or
-    false. Anything else passes through for the dataclass to validate. A
-    ConfigError names the path of the failing field.
+    lists, an int only from an integral number, a float only from a number
+    and a bool only from true or false. Anything else passes through for the
+    dataclass to validate. A ConfigError names the path of the failing field.
     """
     if type(None) in get_args(kind):
         if data is None:
@@ -185,10 +186,10 @@ def from_plain(kind, data, path: str = "", **fixed):
         if not isinstance(data, (list, tuple)):
             raise ConfigError(f"must be a list, got {data!r}", field=path)
         return tuple(from_plain(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(data))
-    if kind is int or (isinstance(kind, type) and issubclass(kind, Enum)):
+    if kind in _NUMBERS or (isinstance(kind, type) and issubclass(kind, Enum)):
         try:
-            return integral(data) if kind is int else kind(data)
-        except ValueError as exc:  # integral's ValidationError is one too
+            return _NUMBERS.get(kind, kind)(data)
+        except ValueError as exc:  # a ValidationError is one too
             raise ConfigError(str(exc), field=path) from exc
     return data
 

@@ -387,7 +387,9 @@ class TestMalformedInputs:
         assert main(["report", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
-    @pytest.mark.parametrize("artifact", [{"chosen_tau": None}, [0.9], "0.9"])
+    @pytest.mark.parametrize(
+        "artifact", [{"chosen_tau": None}, [0.9], "0.9", {"chosen_tau": "0.5"}, {"chosen_tau": True}]
+    )
     def test_run_with_unusable_calibration(self, tmp_path, capsys, artifact):
         path = tmp_path / "calibration.json"
         path.write_text(json.dumps(artifact), encoding="utf-8")
@@ -504,6 +506,17 @@ class TestReportRecords:
         assert main(["report", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "batch_size" in err
+
+    def test_report_on_outcome_with_a_string_score(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--out", str(out), "--seed", "3", *SMALL])
+        record = next(r for r in read_jsonl(out / "outcomes.jsonl") if r["gate"] is not None)
+        with open(out / "outcomes.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**record, "gate": {**record["gate"], "score": "x"}}) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "gate.score: must be a number" in err
 
     def test_calibrate_fits_each_class_density_once(self, tmp_path, monkeypatch):
         calls = []

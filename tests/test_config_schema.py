@@ -138,6 +138,8 @@ def test_unknown_key_rejected(raw, path):
         ({"gate": "x"}, "gate"),
         ({"seed": [1]}, "seed"),
         ({"seed": "x"}, "seed"),
+        ({"gate": {"tau": "0.5"}}, "gate.tau"),
+        ({"calibration": {"taus": [0.5, True]}}, "calibration.taus[1]"),
     ],
 )
 def test_invalid_value_names_its_field(raw, path):

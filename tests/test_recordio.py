@@ -80,6 +80,19 @@ def test_bool_rejects_anything_else(value):
     assert info.value.field == "flag"
 
 
+@pytest.mark.parametrize("value", [0.5, 2, -math.inf])
+def test_float_takes_a_number_as_it_is(value):
+    built = from_plain(float, value, "x")
+    assert built == value and type(built) is type(value)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, False, None, [1.0]])
+def test_float_rejects_anything_else(value):
+    with pytest.raises(ConfigError) as info:
+        from_plain(float, value, "section.x")
+    assert info.value.field == "section.x"
+
+
 def test_tuple_is_built_from_a_list_and_its_items_follow_their_rule():
     assert from_plain(tuple[int, ...], [1, 2.0], "xs") == (1, 2)
     assert type(from_plain(tuple[int, ...], [2.0], "xs")[0]) is int
@@ -90,6 +103,9 @@ def test_tuple_is_built_from_a_list_and_its_items_follow_their_rule():
     with pytest.raises(ConfigError) as info:
         from_plain(tuple[int, ...], "12", "xs")
     assert info.value.field == "xs"
+    with pytest.raises(ConfigError) as info:
+        from_plain(tuple[float, ...], [0.5, True], "xs")
+    assert info.value.field == "xs[1]"
 
 
 def test_to_plain_and_from_plain_are_inverse_on_a_decision():

@@ -456,7 +456,7 @@ class TestParserEdgeCases:
         masked["tokens"][1]["top_logprobs"].append({"token": "m1", "logprob": -math.inf})
         assert parse_speculate_response(masked, 8) == parse_speculate_response(body, 8)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, False, "-0.5", None])
     def test_nan_or_positive_inf_logprob_unavailable(self, value):
         body = speculate_body(n_logprobs=5)
         body["tokens"][1]["top_logprobs"][3]["logprob"] = value
@@ -487,7 +487,7 @@ class TestParserEdgeCases:
                 assert got.values.dtype == want.values.dtype
                 assert got.values.tobytes() == want.values.tobytes()
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5"])
     def test_non_finite_latency_unavailable(self, value):
         with pytest.raises(BackendUnavailable):
             parse_judge_response({"g": 0, "latency_s": value})
@@ -504,6 +504,8 @@ class TestParserEdgeCases:
             ("agentic", {"answer": "B", "depth": 0.7, "step_costs": [[0.5, 0.0]]}),
             ("agentic", {"answer": "B", "depth": 1, "step_costs": ["12", [0.5, 0.0]]}),
             ("agentic", {"answer": "B", "depth": 0, "step_costs": [[0.5, 0.0, 0.1]]}),
+            ("agentic", {"answer": "B", "depth": 0, "step_costs": [["1.5", True]]}),
+            ("agentic", {"answer": "B", "depth": 0, "step_costs": [[1.5, False]]}),
         ],
     )
     def test_values_that_would_truncate_unavailable(self, route, body):
