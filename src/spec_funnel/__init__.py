@@ -55,6 +55,7 @@ from .funnel import (
     throughput_bound,
 )
 from .gate import (
+    AnswerLogits,
     GateConfig,
     GateDecision,
     Scoring,

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from ..errors import ValidationError
-from ..gate import TokenLogits
+from ..gate import AnswerLogits
 
 __all__ = [
     "Query",
@@ -20,6 +20,7 @@ __all__ = [
     "substream",
     "integral",
     "real",
+    "reals",
 ]
 
 
@@ -57,12 +58,24 @@ def integral(value) -> int:
     raise ValidationError(f"must be an integer, got {value!r}")
 
 
+_NUMBER_TYPES = frozenset((float, int))
+
+
 def real(value):
     """A JSON number, an int or a float, returned as it is; any other value,
     a bool or a numeric string included, is a ValidationError."""
-    if type(value) is float or type(value) is int:
+    if type(value) in _NUMBER_TYPES:
         return value
     raise ValidationError(f"must be a number, got {value!r}")
+
+
+def reals(values: list) -> list:
+    """real over a list, with the types checked in one pass; the list is
+    returned as it is."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        for value in values:
+            real(value)
+    return values
 
 
 def _check_latency(latency_s: float) -> None:
@@ -85,14 +98,16 @@ class JudgeOutput:
 
 @dataclass(frozen=True)
 class SpeculativeAnswer:
-    """Draft answer with the retained logits of every generated token."""
+    """Draft answer with the retained logits of every generated token,
+    packed; a sequence of TokenLogits is packed on construction."""
 
     answer: str
-    token_logits: tuple[TokenLogits, ...]
+    token_logits: AnswerLogits
     latency_s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "token_logits", tuple(self.token_logits))
+        if not isinstance(self.token_logits, AnswerLogits):
+            object.__setattr__(self, "token_logits", AnswerLogits.from_tokens(self.token_logits))
         if self.answer and len(self.token_logits) == 0:
             raise ValidationError("a non-empty answer requires at least one token's logits")
         _check_latency(self.latency_s)

@@ -22,6 +22,7 @@ import functools
 import http.client
 import json
 import math
+import operator
 import select
 import threading
 import weakref
@@ -30,8 +31,8 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from ..errors import BackendUnavailable, ValidationError
-from ..gate import TokenLogits
-from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral, real
+from ..gate import AnswerLogits
+from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral, real, reals
 
 __all__ = [
     "DEFAULT_JUDGE_PROMPT",
@@ -62,7 +63,11 @@ def parse_judge_response(body) -> JudgeOutput:
         raise BackendUnavailable(f"inconsistent judge response: {exc}") from exc
 
 
+_LOGPROB = operator.itemgetter("logprob")
+
+
 def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
+    _check_top_logprobs(top_logprobs)
     try:
         answer = str(body["answer"])
         tokens = body["tokens"]
@@ -71,28 +76,36 @@ def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
         raise BackendUnavailable(f"malformed speculate response: {exc!r}") from exc
     if not isinstance(tokens, list):
         raise BackendUnavailable("speculate response tokens must be a list")
-    logits = []
+    rows = []
     for entry in tokens:
         raw = entry.get("top_logprobs") if isinstance(entry, dict) else None
         if not raw:
             raise BackendUnavailable("missing logprobs")
         try:
-            values = [float(real(e["logprob"])) for e in raw]
-        except (KeyError, TypeError, ValueError) as exc:
+            values = reals(list(map(_LOGPROB, raw)))
+        except (KeyError, TypeError, ValidationError) as exc:
             raise BackendUnavailable(f"malformed logprob entry: {exc!r}") from exc
-        # -inf marks a masked token, which lies outside the support and is
-        # dropped; a NaN or +inf, also left out here, fails the response.
-        kept = [v for v in values if -math.inf < v < math.inf]
-        if len(kept) < len(values) and len(kept) + values.count(-math.inf) < len(values):
-            raise BackendUnavailable("logprobs must not be NaN or +inf")
-        if not kept:
-            raise BackendUnavailable("no finite logprobs")
-        kept.sort(reverse=True)
-        logits.append(TokenLogits(np.array(kept[:top_logprobs])))
-    if answer and not logits:
+        if not all(map(math.isfinite, values)):
+            # -inf marks a masked token, which lies outside the support and
+            # is dropped; a NaN or +inf fails the response.
+            kept = [v for v in values if -math.inf < v < math.inf]
+            if len(kept) + values.count(-math.inf) < len(values):
+                raise BackendUnavailable("logprobs must not be NaN or +inf")
+            if not kept:
+                raise BackendUnavailable("no finite logprobs")
+            values = kept
+        values.sort(reverse=True)
+        rows.append(values[:top_logprobs])
+    if answer and not rows:
         raise BackendUnavailable("missing logprobs")
+    # one packed array per answer, each row padded with -inf to the widest
+    lengths = [len(row) for row in rows]
+    width = max(lengths, default=0)
+    rows = [row + [-math.inf] * (width - len(row)) for row in rows]
     try:
-        return SpeculativeAnswer(answer=answer, token_logits=tuple(logits), latency_s=latency)
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        token_logits = AnswerLogits(values, np.array(lengths))
+        return SpeculativeAnswer(answer=answer, token_logits=token_logits, latency_s=latency)
     except ValidationError as exc:
         raise BackendUnavailable(f"inconsistent speculate response: {exc}") from exc
 
@@ -161,6 +174,11 @@ class RemoteBackend:
         self.top_logprobs = int(top_logprobs)
         self.max_steps = int(max_steps)
         self.timeout_s = float(timeout_s)
+        _check_top_logprobs(self.top_logprobs)
+        if self.max_steps < 1:
+            raise ValidationError("max_steps must be >= 1")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0.0):
+            raise ValidationError("timeout_s must be finite and > 0")
         self.judge_prompt = judge_prompt
         self._log_path = str(exchange_log) if exchange_log else None
         self._log_lock = threading.Lock()
@@ -270,6 +288,11 @@ class RemoteBackend:
         return parse_agentic_response(body, self.max_steps)
 
 
+def _check_top_logprobs(top_logprobs: int) -> None:
+    if top_logprobs < 1:
+        raise ValidationError("top_logprobs must be >= 1")
+
+
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
@@ -311,6 +334,7 @@ def replay_speculations(path, top_logprobs: int = 64) -> dict[str, SpeculativeAn
     Uses the same parser as the live adapter, so replayed token logits are
     identical to what the original run saw.
     """
+    _check_top_logprobs(top_logprobs)
     out = {}
     for entry in iter_exchanges(path):
         if entry.get("route") != "/speculate":

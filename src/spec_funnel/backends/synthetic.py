@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import ValidationError
-from ..gate import TokenLogits
+from ..gate import AnswerLogits, TokenLogits
 from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, substream
 
 __all__ = [
@@ -121,6 +121,9 @@ class SyntheticConfig:
         for name in ("judge_cost_s", "speculate_cost_s", "llm_step_cost_s"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be >= 0")
+        for name in ("sep_mu_correct", "sep_mu_incorrect", "sep_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if not self.sep_mu_correct > self.sep_mu_incorrect:
             raise ValidationError("sep_mu_correct must exceed sep_mu_incorrect")
         if self.sep_sigma < 0.0:
@@ -192,15 +195,26 @@ def margin_vector(margin: float, width: int) -> TokenLogits:
     """
     if width < 2:
         raise ValidationError("need at least two logits per token")
+    return TokenLogits(_margin_rows([margin], width)[0])
+
+
+def _margin_rows(margins, width: int) -> np.ndarray:
+    """(len(margins), width) array whose row i is margin_vector(margins[i],
+    width)'s values: the cached tail, then the row's top in column 0."""
+    values = np.empty((len(margins), width), dtype=np.float64)
+    values[:, 1:] = _tail_stats(width - 1)[0]
+    values[:, 0] = [_top(m, width) for m in margins]
+    return values
+
+
+def _top(margin: float, width: int) -> float:
+    """Leading logit that gives the fixed tail of `width - 1` the margin
+    `margin`, after margin_vector's clamping."""
     tail, s, c = _tail_stats(width - 1)
     n = width
     m = min(max(float(margin), 0.0), 0.995 * math.sqrt(n - 1))
     y = m * math.sqrt(c / (1.0 - (m * m) / (n - 1)))
-    top = max((y + s) / (n - 1), float(tail[0]))
-    values = np.empty(n, dtype=np.float64)
-    values[0] = top
-    values[1:] = tail
-    return TokenLogits(values)
+    return max((y + s) / (n - 1), float(tail[0]))
 
 
 def separability_floor(width: int) -> float:
@@ -277,7 +291,8 @@ class SyntheticBackend:
         else:
             mu = cfg.sep_mu_correct if correct else cfg.sep_mu_incorrect
             margins = np.maximum(rng.normal(mu, cfg.sep_sigma, size=n_tokens), 0.0)
-        token_logits = tuple(margin_vector(m, cfg.vocab_k) for m in margins)
+        values = _margin_rows(margins.tolist(), cfg.vocab_k)
+        token_logits = AnswerLogits(values, np.full(n_tokens, cfg.vocab_k))
         truth = self._ground_truth(query)
         answer = truth if correct else wrong_answer(truth)
         return SpeculativeAnswer(answer=answer, token_logits=token_logits, latency_s=cfg.speculate_cost_s)

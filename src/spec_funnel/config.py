@@ -8,6 +8,7 @@ detectable.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,8 +45,8 @@ class BackendSettings:
             raise ValidationError("backend kind must be 'synthetic' or 'remote'")
         if self.top_logprobs < 1:
             raise ValidationError("top_logprobs must be >= 1")
-        if self.timeout_s <= 0.0:
-            raise ValidationError("timeout_s must be > 0")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0.0):
+            raise ValidationError("timeout_s must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ answer, and the sigmoid-normalized result is thresholded to either accept
 the draft answer or fall back to the slow path. A probability-based scorer
 (geometric mean of per-token max-softmax probabilities) is available as a
 baseline mode.
+
+An answer's logits travel packed as one AnswerLogits array, validated once,
+and gate() scores all of its tokens with row reductions. The one-token
+functions token_separability, max_softmax_prob and log_confidence compute
+the same numbers one token at a time and serve as the reference for it.
 """
 
 import math
@@ -22,6 +27,7 @@ __all__ = [
     "Scoring",
     "Verdict",
     "TokenLogits",
+    "AnswerLogits",
     "GateConfig",
     "GateDecision",
     "token_separability",
@@ -79,6 +85,65 @@ class TokenLogits:
         return self.values.shape == other.values.shape and bool(
             np.all(self.values == other.values)
         )
+
+
+@dataclass(frozen=True, eq=False)
+class AnswerLogits:
+    """Top logit values retained for every generated token of one answer.
+
+    values is an (n_tokens, width) float64 array whose row i holds token i's
+    lengths[i] retained logits, finite and sorted descending, then -inf up
+    to width. Both are validated once, here. Iterating or indexing yields
+    each token's TokenLogits of its true length, and an AnswerLogits
+    compares equal to any equal sequence of TokenLogits.
+    """
+
+    values: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        lengths = np.asarray(self.lengths)
+        if values.ndim != 2 or lengths.shape != values.shape[:1]:
+            raise ValidationError("answer logits need an (n_tokens, width) array and n_tokens lengths")
+        if lengths.size:
+            if lengths.dtype.kind not in "iu":
+                raise ValidationError("token lengths must be integers")
+            width, counts = values.shape[1], lengths.tolist()
+            if min(counts) < 1 or max(counts) > width:
+                raise ValidationError("every token keeps between 1 and width logits")
+            inside = np.arange(width) < lengths[:, None]
+            if not np.where(inside, np.isfinite(values), values == -np.inf).all():
+                raise ValidationError("token logits must be finite, and -inf past each token's length")
+            if (values[:, 1:] > values[:, :-1]).any():
+                raise ValidationError("token logits must be sorted in descending order")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "lengths", lengths)
+
+    @classmethod
+    def from_tokens(cls, tokens) -> "AnswerLogits":
+        """Pack a sequence of TokenLogits."""
+        tokens = tuple(tokens)
+        lengths = [len(t) for t in tokens]
+        values = np.full((len(tokens), max(lengths, default=0)), -np.inf)
+        for row, token in zip(values, tokens):
+            row[: len(token)] = token.values
+        return cls(values, np.array(lengths, dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> TokenLogits:
+        return TokenLogits(self.values[i, : self.lengths[i]])
+
+    def __iter__(self):
+        for row, n in zip(self.values, self.lengths.tolist()):
+            yield TokenLogits(row[:n])
+
+    def __eq__(self, other):
+        if not isinstance(other, (AnswerLogits, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -182,7 +247,7 @@ def aggregate(token_scores: Sequence[float], strategy: Scoring, bottom_ratio: fl
     scores = np.asarray(token_scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyAnswerError("cannot aggregate zero token scores")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValidationError("token scores must all be finite")
     if strategy is Scoring.MIN:
         return float(scores.min())
@@ -226,7 +291,7 @@ def logit(probability: float) -> float:
     return math.log(probability / (1.0 - probability))
 
 
-def gate(answer: Sequence[TokenLogits], config: GateConfig) -> GateDecision:
+def gate(answer: AnswerLogits | Sequence[TokenLogits], config: GateConfig) -> GateDecision:
     """Score an answer and decide accept vs fallback at config.tau.
 
     Empty answers never pass: they yield a FALLBACK decision with score 0
@@ -234,20 +299,68 @@ def gate(answer: Sequence[TokenLogits], config: GateConfig) -> GateDecision:
     always fall through to the slow path. For margin-based modes the
     token_scores trace holds raw separabilities; for LOG_CONF it holds the
     per-token max-softmax probabilities and the score is the geometric mean
-    itself (already inside (0, 1]), with no extra sigmoid.
+    itself (already inside (0, 1]), with no extra sigmoid. A sequence of
+    TokenLogits is packed first; every token is then scored by row
+    reductions, with the same floats token_separability, max_softmax_prob
+    and log_confidence give.
     """
-    if len(answer) == 0:
+    if not isinstance(answer, AnswerLogits):
+        answer = AnswerLogits.from_tokens(answer)
+    lengths = answer.lengths.tolist()
+    if not lengths:
         return GateDecision(Verdict.FALLBACK, 0.0, (), ("empty_answer",))
-    diagnostics = []
+    diagnostics = ()
     if config.aggregation is Scoring.LOG_CONF:
-        token_scores = tuple(max_softmax_prob(t) for t in answer)
-        score = log_confidence(answer)
+        sums = _by_window(answer.values, lengths, _softmax_sums)
+        token_scores = [1.0 / s for s in sums]
+        score = math.exp(math.fsum([-math.log(s) for s in sums]) / len(sums))
     else:
-        if any(len(t) < config.k for t in answer):
-            diagnostics.append("top_k_clamped")
-        token_scores = tuple(
-            token_separability(t, config.k, config.epsilon) for t in answer
+        if min(lengths) < config.k:
+            diagnostics = ("top_k_clamped",)
+        windows = [min(n, config.k) for n in lengths]
+        token_scores = _by_window(
+            answer.values, windows, lambda rows: _separabilities(rows, config.epsilon)
         )
         score = normalize(aggregate(token_scores, config.aggregation, config.bottom_ratio))
     verdict = Verdict.ACCEPT if score >= config.tau else Verdict.FALLBACK
-    return GateDecision(verdict, float(score), token_scores, tuple(diagnostics))
+    return GateDecision(verdict, float(score), tuple(token_scores), diagnostics)
+
+
+def _by_window(values: np.ndarray, windows: list[int], score_rows) -> list[float]:
+    """score_rows over the first w columns of each group of rows whose
+    window is w, in row order.
+
+    Rows are reduced in groups of one window, never as one padded array: a
+    padded row would change numpy's pairwise summation order, and with it
+    the last bit of the row's sum.
+    """
+    scores = [0.0] * len(windows)
+    for w in set(windows):
+        rows = [i for i, n in enumerate(windows) if n == w]
+        for i, score in zip(rows, score_rows(values[rows, :w])):
+            scores[i] = score
+    return scores
+
+
+def _separabilities(rows: np.ndarray, epsilon: float) -> list[float]:
+    """token_separability of each row, which is its whole window: the row
+    sums np.mean and np.std take, then each row's margin in floats."""
+    width = rows.shape[1]
+    means = np.add.reduce(rows, axis=1, keepdims=True) / width
+    square_sums = np.add.reduce(np.square(rows - means), axis=1)
+    scores = []
+    for top, last, mean, square_sum in zip(
+        rows[:, 0].tolist(), rows[:, -1].tolist(), means[:, 0].tolist(), square_sums.tolist()
+    ):
+        margin = top - mean
+        # a flat window (equal ends) and a non-positive margin score exactly 0
+        if top == last or margin <= 0.0:
+            scores.append(0.0)
+        else:
+            scores.append(margin / (math.sqrt(square_sum / width) + epsilon))
+    return scores
+
+
+def _softmax_sums(rows: np.ndarray) -> list[float]:
+    """Softmax denominator of each row, shifted by its leading logit."""
+    return np.add.reduce(np.exp(rows - rows[:, :1]), axis=1).tolist()

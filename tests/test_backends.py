@@ -83,6 +83,19 @@ class TestSpeculate:
             sep = token_separability(token, config.vocab_k, 1e-6)
             assert sep == pytest.approx(4.0, abs=1e-4)
 
+    def test_packed_rows_are_margin_vectors(self):
+        config = SyntheticConfig(
+            seed=5, vocab_k=16, answer_len_weights={4: 1.0}, draft_accuracy_toolfree=1.0
+        )
+        draft = SyntheticBackend(config).speculate(Query(id="q", true_requires_tools=False))
+        # the speculate stream: correctness, answer length, then the margins
+        rng = substream(5, "q", "speculate")
+        rng.random()
+        rng.random()
+        margins = np.maximum(rng.normal(config.sep_mu_correct, config.sep_sigma, size=4), 0.0)
+        assert draft.token_logits == tuple(margin_vector(m, config.vocab_k) for m in margins)
+        assert draft.token_logits.lengths.tolist() == [16] * 4
+
     def test_answer_length_point_mass(self):
         config = SyntheticConfig(seed=5, answer_len_weights={3: 1.0})
         backend = SyntheticBackend(config)
@@ -237,6 +250,19 @@ class TestConfigValidation:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValidationError):
             SyntheticConfig(p_tool_required=1.5)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("sep_mu_correct", math.inf),
+            ("sep_mu_incorrect", -math.inf),
+            ("sep_sigma", math.inf),
+            ("sep_sigma", math.nan),
+        ],
+    )
+    def test_rejects_non_finite_margin_parameter(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            SyntheticConfig(**{name: value})
 
     def test_rejects_inverted_margins(self):
         with pytest.raises(ValidationError):

@@ -441,6 +441,22 @@ class TestTypedOverrides:
         assert main(["run", "--out", str(tmp_path / "o"), "--set", override]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
+    @pytest.mark.parametrize(
+        "override, name",
+        [
+            ("backend.timeout_s=NaN", "timeout_s"),
+            ("backend.timeout_s=Infinity", "timeout_s"),
+            ("synthetic.sep_sigma=Infinity", "sep_sigma"),
+            ("synthetic.sep_sigma=NaN", "sep_sigma"),
+            ("synthetic.sep_mu_correct=Infinity", "sep_mu_correct"),
+            ("synthetic.sep_mu_incorrect=-Infinity", "sep_mu_incorrect"),
+        ],
+    )
+    def test_non_finite_setting_exits_2_naming_the_field(self, tmp_path, capsys, override, name):
+        assert main(["run", "--out", str(tmp_path / "o"), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+
     def test_integral_float_is_an_integer(self, tmp_path):
         out = tmp_path / "run"
         assert main(["run", "--out", str(out), "--set", "workload.n_queries=20.0", "--set", "gate.k=8.0"]) == 0

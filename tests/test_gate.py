@@ -9,6 +9,7 @@ import pytest
 from spec_funnel.backends.synthetic import margin_vector
 from spec_funnel.errors import EmptyAnswerError, ValidationError
 from spec_funnel.gate import (
+    AnswerLogits,
     GateConfig,
     Scoring,
     TokenLogits,
@@ -48,6 +49,51 @@ class TestTokenLogits:
 
     def test_ties_allowed(self):
         assert len(tl(2.0, 2.0, 1.0)) == 3
+
+
+NEG = -np.inf
+
+# (values, lengths) pairs that each break one AnswerLogits invariant; the
+# valid answer they start from is [[3, 1, -inf], [2, 2, 0]] with lengths [2, 3]
+BROKEN_ANSWERS = {
+    "nan": ([[3.0, np.nan, NEG], [2.0, 2.0, 0.0]], [2, 3]),
+    "positive_inf": ([[np.inf, 1.0, NEG], [2.0, 2.0, 0.0]], [2, 3]),
+    "unsorted_row": ([[3.0, 1.0, NEG], [2.0, 0.0, 2.0]], [2, 3]),
+    "zero_length": ([[NEG, NEG, NEG], [2.0, 2.0, 0.0]], [0, 3]),
+    "finite_padding": ([[3.0, 1.0, 0.5], [2.0, 2.0, 0.0]], [2, 3]),
+    "nan_padding": ([[3.0, 1.0, np.nan], [2.0, 2.0, 0.0]], [2, 3]),
+    "neg_inf_inside": ([[3.0, NEG, NEG], [2.0, 2.0, 0.0]], [2, 3]),
+    "length_past_width": ([[3.0, 1.0, NEG], [2.0, 2.0, 0.0]], [2, 4]),
+    "too_few_lengths": ([[3.0, 1.0, NEG], [2.0, 2.0, 0.0]], [2]),
+    "too_many_lengths": ([[3.0, 1.0, NEG], [2.0, 2.0, 0.0]], [2, 3, 1]),
+    "flat_array": ([3.0, 1.0], [2]),
+    "fractional_lengths": ([[3.0, 1.0, NEG], [2.0, 2.0, 0.0]], [2.0, 3.0]),
+}
+
+
+class TestAnswerLogits:
+    def test_valid_answer_unpacks_to_its_tokens(self):
+        answer = AnswerLogits(np.array([[3.0, 1.0, NEG], [2.0, 2.0, 0.0]]), np.array([2, 3]))
+        assert len(answer) == 2
+        assert answer == (tl(3.0, 1.0), tl(2.0, 2.0, 0.0))
+        assert answer[1] == tl(2.0, 2.0, 0.0) and answer[-2] == tl(3.0, 1.0)
+        assert answer != (tl(3.0, 1.0),) and answer != (tl(3.0, 1.0), tl(2.0, 2.0))
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_ANSWERS))
+    def test_each_broken_invariant_raises(self, name):
+        values, lengths = BROKEN_ANSWERS[name]
+        with pytest.raises(ValidationError):
+            AnswerLogits(np.array(values), np.array(lengths))
+
+    def test_empty_answer(self):
+        empty = AnswerLogits.from_tokens(())
+        assert len(empty) == 0 and empty == () and list(empty) == []
+        assert gate(empty, GateConfig()).diagnostics == ("empty_answer",)
+
+    def test_from_tokens_pads_with_neg_inf(self):
+        answer = AnswerLogits.from_tokens([tl(1.0), tl(3.0, 2.0, -1.0)])
+        assert answer.values.tolist() == [[1.0, NEG, NEG], [3.0, 2.0, -1.0]]
+        assert answer.lengths.tolist() == [1, 3]
 
 
 class TestTokenSeparability:

@@ -1,5 +1,6 @@
 """Property tests for the gating math: ordering, invariances, the min-guard
-biconditional, and agreement with extended-precision re-implementations."""
+biconditional, agreement with extended-precision re-implementations, and
+the packed gate against the one-token reference functions."""
 
 import math
 
@@ -9,9 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spec_funnel.gate import (
+    AnswerLogits,
     GateConfig,
+    GateDecision,
     Scoring,
     TokenLogits,
+    Verdict,
     aggregate,
     gate,
     log_confidence,
@@ -199,3 +203,82 @@ class TestPrecisionOracles:
         for value in raw:
             reference = float(1.0 / (1.0 + np.exp(-np.longdouble(value))))
             assert normalize(float(value)) == pytest.approx(reference, abs=1e-9)
+
+
+def reference_gate(tokens, config) -> GateDecision:
+    """gate() computed one token at a time by the one-token functions."""
+    if not tokens:
+        return GateDecision(Verdict.FALLBACK, 0.0, (), ("empty_answer",))
+    diagnostics = ()
+    if config.aggregation is Scoring.LOG_CONF:
+        token_scores = tuple(max_softmax_prob(t) for t in tokens)
+        score = log_confidence(tokens)
+    else:
+        if any(len(t) < config.k for t in tokens):
+            diagnostics = ("top_k_clamped",)
+        token_scores = tuple(token_separability(t, config.k, config.epsilon) for t in tokens)
+        score = normalize(aggregate(token_scores, config.aggregation, config.bottom_ratio))
+    verdict = Verdict.ACCEPT if score >= config.tau else Verdict.FALLBACK
+    return GateDecision(verdict, score, token_scores, diagnostics)
+
+
+def ragged_row(rng, length, kind, scale, offset):
+    """One token's logits, descending: spread, flat, or tied on a coarse grid."""
+    if kind == "flat":
+        values = np.full(length, offset)
+    elif kind == "ties":
+        values = np.round(rng.normal(0.0, 2.0, size=length)) * scale + offset
+    else:
+        values = rng.normal(0.0, 3.0, size=length) * scale + offset
+    return np.sort(values)[::-1].copy()
+
+
+@st.composite
+def packed_answers(draw):
+    """(tokens, packed, k): 1-300 rows of 1-80 logits each, the same answer
+    as a tuple of TokenLogits and as an AnswerLogits with -inf padding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 300))
+    longest = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        lengths = rng.integers(1, longest + 1, size=n_rows)
+    else:
+        lengths = np.full(n_rows, longest)
+    kinds = rng.choice(["spread", "flat", "ties"], size=n_rows, p=[0.6, 0.2, 0.2])
+    scale = draw(st.floats(min_value=1e-6, max_value=1e3))
+    offset = draw(st.floats(min_value=-30.0, max_value=0.0))
+    tokens = tuple(
+        TokenLogits(ragged_row(rng, n, kind, scale, offset)) for n, kind in zip(lengths.tolist(), kinds)
+    )
+    width = longest + draw(st.integers(0, 2))
+    values = np.full((n_rows, width), -np.inf)
+    for row, token in zip(values, tokens):
+        row[: len(token)] = token.values
+    k = draw(st.integers(min_value=2, max_value=width + 3))
+    return tokens, AnswerLogits(values, lengths), k
+
+
+class TestPackedGate:
+    @settings(max_examples=120, deadline=None)
+    @given(answer=packed_answers(), ratio=st.floats(min_value=0.01, max_value=0.99))
+    def test_packed_gate_equals_the_one_token_reference(self, answer, ratio):
+        tokens, packed, k = answer
+        assert packed == tokens and AnswerLogits.from_tokens(tokens) == packed
+        for mode in Scoring:
+            config = GateConfig(k=k, aggregation=mode, bottom_ratio=ratio)
+            expected = reference_gate(tokens, config)
+            # repr tells every float apart, -0.0 from 0.0 included
+            assert repr(gate(packed, config)) == repr(expected)
+            assert repr(gate(tokens, config)) == repr(expected)
+
+    def test_rows_of_one_window_sum_as_one_row(self):
+        # a group of rows reduced along axis 1, padded columns sliced off,
+        # gives each row's own 1-D sums: the packed gate relies on it
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            width = int(rng.integers(1, 90))
+            rows = rng.normal(0.0, 5.0, size=(int(rng.integers(1, 40)), width + 5))
+            window = int(rng.integers(1, width + 1))
+            packed = rows[:, :window].sum(axis=1)
+            one_by_one = np.array([row[:window].sum() for row in rows])
+            assert packed.tobytes() == one_by_one.tobytes()

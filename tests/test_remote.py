@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from spec_funnel.backends import remote
 from spec_funnel.backends.base import Query
 from spec_funnel.backends.remote import (
     RemoteBackend,
@@ -25,7 +26,7 @@ from spec_funnel.backends.remote import (
     replay_speculations,
 )
 from spec_funnel.errors import BackendUnavailable, ValidationError
-from spec_funnel.gate import TokenLogits
+from spec_funnel.gate import AnswerLogits, TokenLogits
 
 
 def speculate_body(answer="A", n_tokens=2, n_logprobs=5):
@@ -393,6 +394,24 @@ class TestKeptAliveTransport:
             RemoteBackend(url)
 
 
+class TestSettingsRejectedUpFront:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"top_logprobs": 0},
+            {"top_logprobs": -3},
+            {"max_steps": 0},
+            {"timeout_s": 0.0},
+            {"timeout_s": -1.0},
+            {"timeout_s": math.nan},
+            {"timeout_s": math.inf},
+        ],
+    )
+    def test_bad_setting_rejected_by_the_constructor(self, kwargs):
+        with pytest.raises(ValidationError):
+            RemoteBackend("http://127.0.0.1:9", **kwargs)
+
+
 class TestExchangeLogAndReplay:
     def test_replay_reproduces_identical_logits(self, stub_server, tmp_path):
         log_path = tmp_path / "exchanges.jsonl"
@@ -486,6 +505,43 @@ class TestParserEdgeCases:
                 assert got == want
                 assert got.values.dtype == want.values.dtype
                 assert got.values.tobytes() == want.values.tobytes()
+
+    def test_ragged_tokens_pack_into_one_padded_array(self):
+        body = speculate_body(n_tokens=3, n_logprobs=4)
+        body["tokens"][1]["top_logprobs"][1:] = [{"token": "m", "logprob": -math.inf}]
+        draft = parse_speculate_response(body, 8)
+        assert isinstance(draft.token_logits, AnswerLogits)
+        assert draft.token_logits.lengths.tolist() == [4, 1, 4]
+        assert draft.token_logits.values[1, 1:].tolist() == [-math.inf] * 3
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda v, n: (np.where(v == v[0, 0], np.nan, v), n),
+            lambda v, n: (np.where(v == v[0, 0], np.inf, v), n),
+            lambda v, n: (v[:, ::-1], n),
+            lambda v, n: (v, n * 0),
+            lambda v, n: (v, n - 1),
+            lambda v, n: (np.where(v == v[0, -1], -np.inf, v), n),
+            lambda v, n: (v, n[:-1]),
+        ],
+        ids=["nan", "positive_inf", "unsorted", "zero_length", "finite_padding", "neg_inf_inside", "shape"],
+    )
+    def test_broken_packed_answer_unavailable(self, monkeypatch, corrupt):
+        # the parser builds the array itself, so each broken invariant is
+        # planted between parsing and validation
+        packed = remote.AnswerLogits
+        monkeypatch.setattr(remote, "AnswerLogits", lambda v, n: packed(*corrupt(v, n)))
+        with pytest.raises(BackendUnavailable):
+            parse_speculate_response(speculate_body(n_tokens=2, n_logprobs=3), 8)
+
+    @pytest.mark.parametrize("top_logprobs", [0, -1])
+    def test_top_logprobs_below_one_rejected(self, tmp_path, top_logprobs):
+        # -1 used to drop each token's last logprob without a word
+        with pytest.raises(ValidationError):
+            parse_speculate_response(speculate_body(), top_logprobs)
+        with pytest.raises(ValidationError):
+            replay_speculations(tmp_path / "never-read.jsonl", top_logprobs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5"])
     def test_non_finite_latency_unavailable(self, value):
