@@ -58,21 +58,28 @@ def integral(value) -> int:
     raise ValidationError(f"must be an integer, got {value!r}")
 
 
-_NUMBER_TYPES = frozenset((float, int))
+_FLOAT = frozenset((float,))
 
 
 def real(value):
-    """A JSON number, an int or a float, returned as it is; any other value,
-    a bool or a numeric string included, is a ValidationError."""
-    if type(value) in _NUMBER_TYPES:
+    """A JSON number, a float or an int a float can hold, returned as it is;
+    any other value, a bool, a numeric string or a larger int included, is
+    a ValidationError."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError("must be a number, got an integer too large for a float") from None
         return value
     raise ValidationError(f"must be a number, got {value!r}")
 
 
 def reals(values: list) -> list:
-    """real over a list, with the types checked in one pass; the list is
-    returned as it is."""
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
+    """real over a list, with an all-float list checked in one pass; the
+    list is returned as it is."""
+    if not _FLOAT.issuperset(map(type, values)):
         for value in values:
             real(value)
     return values

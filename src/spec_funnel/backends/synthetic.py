@@ -119,8 +119,9 @@ class SyntheticConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
         for name in ("judge_cost_s", "speculate_cost_s", "llm_step_cost_s"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name} must be finite and >= 0")
         for name in ("sep_mu_correct", "sep_mu_incorrect", "sep_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")

@@ -70,6 +70,16 @@ class WorkloadSettings:
             raise ValidationError("n_queries must be >= 1")
 
 
+def _finite_grid(values, name) -> tuple[float, ...] | None:
+    """A threshold grid as floats, None for no grid or an empty one."""
+    if values is None:
+        return None
+    grid = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, grid)):
+        raise ValidationError(f"{name} must be finite")
+    return grid or None
+
+
 @dataclass(frozen=True)
 class CalibrationSettings:
     n_taus: int = 33
@@ -79,9 +89,10 @@ class CalibrationSettings:
     def __post_init__(self):
         if self.n_taus < 1:
             raise ValidationError("n_taus must be >= 1")
-        if self.taus is not None:
-            # an empty grid means the default one, and digests as such
-            object.__setattr__(self, "taus", tuple(float(t) for t in self.taus) or None)
+        if self.bandwidth is not None and not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
+            raise ValidationError("bandwidth must be finite and > 0")
+        # an empty grid means the default one, and digests as such
+        object.__setattr__(self, "taus", _finite_grid(self.taus, "taus"))
 
 
 @dataclass(frozen=True)
@@ -91,8 +102,7 @@ class AblationSettings:
     thresholds: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.thresholds is not None:
-            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds) or None)
+        object.__setattr__(self, "thresholds", _finite_grid(self.thresholds, "thresholds"))
         if any(b < 1 for b in self.batch_sizes) or any(k < 2 for k in self.top_k):
             raise ValidationError("batch sizes must be >= 1 and top_k values >= 2")
 

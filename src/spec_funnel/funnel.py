@@ -4,13 +4,14 @@ stateful fallback.
 The batch is screened in parallel waves, the tool-free subset is drafted
 and gated in parallel waves, and the residual set (gate-rejected plus
 tool-required) drains through a small pool of agentic workers. The phases
-themselves are defined in pipeline; this module holds the two clocks, the
-schedules and the batch statistics. Simulated mode advances a virtual
-clock from the modeled per-call costs, so results are hardware
-independent; its bypass-off baseline reuses the agentic cost of every
-query the funnel did not accept and runs the agentic loop again only for
-the accepted ones. Measured mode runs each stage on a real thread pool and
-reports wall-clock stage times.
+themselves are defined in pipeline; this module holds the stage runner,
+the schedules and the batch statistics. One runner serves both clocks.
+Measured mode runs each stage on a real thread pool and reports wall-clock
+stage times. Simulated mode runs each stage's calls in turn and, as the
+stage returns, schedules the costs they reported on a virtual clock, so
+results are hardware independent; its bypass-off baseline reuses the
+agentic cost of every query the funnel did not accept and runs the agentic
+loop again only for the accepted ones.
 """
 
 import heapq
@@ -172,24 +173,14 @@ def _build_stats(outcomes, stage_s, baseline_s) -> FunnelStats:
     )
 
 
-def _virtual_stage_s(outcomes, schedule: ScheduleConfig) -> dict[str, float]:
-    """Stage makespans on the virtual clock, from each outcome's reported costs."""
-    toolfree = [
-        o.latency.speculate_s for o in outcomes if o.path is not QueryPath.TOOL_REQUIRED_FALLBACK
-    ]
-    residual = [o.latency.agentic_s for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
-    return {
-        "judge": _wave_makespan([o.latency.judge_s for o in outcomes], schedule.frontend_workers),
-        "speculate": _wave_makespan(toolfree, schedule.frontend_workers),
-        "agentic": _list_schedule_makespan(residual, schedule.agentic_workers),
-    }
+def _clock(schedule: ScheduleConfig):
+    """The schedule's stage runner and the stage times it fills in.
 
-
-def _wall_clock(schedule: ScheduleConfig):
-    """Measured-mode stage runner and the stage wall times it fills in.
-
-    Each non-empty stage runs on its own thread pool, sized for the
-    front end or the agentic drain, and is timed with perf_counter.
+    Measured mode runs a stage on a thread pool sized for the front end or
+    the agentic drain and times it. Simulated mode runs it in turn on the
+    calling thread and schedules the costs its calls reported over the same
+    worker count: in waves for the front end, on the earliest free worker
+    for the drain.
     """
     stage_s = {"judge": 0.0, "speculate": 0.0, "agentic": 0.0}
 
@@ -197,10 +188,15 @@ def _wall_clock(schedule: ScheduleConfig):
         if not items:
             return []
         workers = schedule.agentic_workers if stage == "agentic" else schedule.frontend_workers
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, items))
-        stage_s[stage] = time.perf_counter() - start
+        if schedule.mode is ScheduleMode.MEASURED:
+            start = time.perf_counter()
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(fn, items))
+            stage_s[stage] = time.perf_counter() - start
+        else:
+            results = [fn(item) for item in items]
+            makespan = _list_schedule_makespan if stage == "agentic" else _wave_makespan
+            stage_s[stage] = makespan([result[-1] for result in results], workers)
         return results
 
     return run_stage, stage_s
@@ -236,22 +232,16 @@ def serve_batch_baseline(
 
 
 def _serve(queries, gate_config, schedule: ScheduleConfig, backend: Backend, bypass: bool):
-    """One batch through run_phases; the two clocks differ only in the stage runner.
-
-    Simulated mode runs each stage in turn on the calling thread, then
-    schedules the reported costs on the virtual clock.
-    """
+    """One batch through run_phases; the two clocks differ only in the stage
+    runner, and in measured mode there is no baseline to compare against."""
     if not queries:
         raise ValidationError("batch must be non-empty")
     if len({q.id for q in queries}) != len(queries):
         raise ValidationError("query ids must be unique within a batch")
-    if schedule.mode is ScheduleMode.MEASURED:
-        run_stage, stage_s = _wall_clock(schedule)
-        outcomes = run_phases(queries, gate_config, backend, run_stage, bypass)
-        baseline_s = None
-    else:
-        outcomes = run_phases(queries, gate_config, backend, bypass=bypass)
-        stage_s = _virtual_stage_s(outcomes, schedule)
+    run_stage, stage_s = _clock(schedule)
+    outcomes = run_phases(queries, gate_config, backend, run_stage, bypass)
+    baseline_s = None
+    if schedule.mode is ScheduleMode.SIMULATED:
         baseline_s = _baseline_s(queries, outcomes, schedule, backend) if bypass else stage_s["agentic"]
     return sorted(outcomes, key=lambda o: o.query_id), _build_stats(outcomes, stage_s, baseline_s)
 

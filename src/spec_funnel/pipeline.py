@@ -102,13 +102,13 @@ def _draft(
     return draft.answer, gate(draft.token_logits, config), draft.latency_s
 
 
-def _fallback(backend: Backend, query: Query) -> tuple[str, float, str | None]:
+def _fallback(backend: Backend, query: Query) -> tuple[str, str | None, float]:
     """Phase IV. A failed agentic loop leaves no answer and records the error."""
     try:
         output = backend.agentic_run(query)
     except BackendUnavailable as exc:
-        return "", 0.0, str(exc)
-    return output.answer, output.latency_s, None
+        return "", str(exc), 0.0
+    return output.answer, None, output.latency_s
 
 
 def _outcome(query, g, judge_s, draft_answer, decision, speculate_s, fallback) -> QueryOutcome:
@@ -117,7 +117,7 @@ def _outcome(query, g, judge_s, draft_answer, decision, speculate_s, fallback) -
         path, answer, agentic_s, error = QueryPath.SPECULATION_ACCEPTED, draft_answer, 0.0, None
     else:
         path = QueryPath.TOOL_REQUIRED_FALLBACK if g == 1 else QueryPath.SPECULATION_REJECTED_FALLBACK
-        answer, agentic_s, error = fallback
+        answer, error, agentic_s = fallback
     latency = LatencyBreakdown(judge_s=judge_s, speculate_s=speculate_s, agentic_s=agentic_s)
     return QueryOutcome(
         query_id=query.id,
@@ -147,10 +147,12 @@ def run_phases(
 
     run_stage(stage, fn, queries) applies fn to every query of one stage,
     "judge", "speculate" or "agentic", and returns the results in order;
-    it decides how the calls are spread over workers and timed. Judge and
-    draft failures degrade to fallback, and an agentic failure becomes the
-    outcome's error. With bypass off, nothing is judged or drafted and
-    every query takes the tool-required path; gate_config is then unused.
+    it decides how the calls are spread over workers and timed. Each
+    result is a tuple whose last item is the cost the call reported, in
+    seconds, and 0.0 for a failed call. Judge and draft failures degrade to
+    fallback, and an agentic failure becomes the outcome's error. With
+    bypass off, nothing is judged or drafted and every query takes the
+    tool-required path; gate_config is then unused.
     Outcomes come back in input order.
     """
     queries = list(queries)

@@ -264,6 +264,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=name):
             SyntheticConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["judge_cost_s", "speculate_cost_s", "llm_step_cost_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_cost(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            SyntheticConfig(**{name: value})
+
     def test_rejects_inverted_margins(self):
         with pytest.raises(ValidationError):
             SyntheticConfig(sep_mu_correct=0.5, sep_mu_incorrect=1.0)

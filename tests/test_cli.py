@@ -24,6 +24,8 @@ from spec_funnel.recordio import (
     read_jsonl,
 )
 
+TOO_LARGE = "9" * 401  # a JSON integer float() cannot convert
+
 SMALL = [
     "--set", "workload.n_queries=60",
     "--set", "schedule.frontend_workers=12",
@@ -159,6 +161,23 @@ class TestRunCommand:
 
 
 class TestCalibrateCommand:
+    @pytest.mark.parametrize(
+        "command, override, name",
+        [
+            ("calibrate", "calibration.bandwidth=-1", "bandwidth"),
+            ("calibrate", "calibration.bandwidth=0", "bandwidth"),
+            ("calibrate", "calibration.bandwidth=NaN", "bandwidth"),
+            ("calibrate", "calibration.bandwidth=Infinity", "bandwidth"),
+            ("calibrate", "calibration.taus=[NaN, 0.5]", "taus"),
+            ("ablate --axis threshold", "ablation.thresholds=[0.5, Infinity]", "thresholds"),
+        ],
+    )
+    def test_unusable_sweep_setting_exits_2_naming_the_field(self, tmp_path, capsys, command, override, name):
+        assert main([*command.split(), "--out", str(tmp_path / "o"), "--set", override, *SMALL]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+        assert not (tmp_path / "o").exists()
+
     def test_outputs(self, tmp_path):
         out = tmp_path / "cal"
         rc = main(["calibrate", "--out", str(out), "--seed", "3", "--set", "workload.n_queries=200"])
@@ -450,6 +469,15 @@ class TestTypedOverrides:
             ("synthetic.sep_sigma=NaN", "sep_sigma"),
             ("synthetic.sep_mu_correct=Infinity", "sep_mu_correct"),
             ("synthetic.sep_mu_incorrect=-Infinity", "sep_mu_incorrect"),
+            ("synthetic.judge_cost_s=NaN", "judge_cost_s"),
+            ("synthetic.speculate_cost_s=Infinity", "speculate_cost_s"),
+            ("synthetic.llm_step_cost_s=Infinity", "llm_step_cost_s"),
+            pytest.param(f"gate.epsilon={TOO_LARGE}", "gate.epsilon", id="epsilon-int_too_large"),
+            pytest.param(f"backend.timeout_s={TOO_LARGE}", "backend.timeout_s", id="timeout_s-int_too_large"),
+            pytest.param(f"synthetic.sep_sigma={TOO_LARGE}", "synthetic.sep_sigma", id="sep_sigma-int_too_large"),
+            pytest.param(
+                f"synthetic.judge_cost_s={TOO_LARGE}", "synthetic.judge_cost_s", id="judge_cost_s-int_too_large"
+            ),
         ],
     )
     def test_non_finite_setting_exits_2_naming_the_field(self, tmp_path, capsys, override, name):

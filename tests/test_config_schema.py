@@ -10,6 +10,7 @@ from spec_funnel.funnel import ScheduleMode
 from spec_funnel.gate import Scoring
 
 REMOTE = "http://127.0.0.1:9"
+TOO_LARGE = int("9" * 401)  # float() of it raises OverflowError
 
 # (overrides, load_config keywords, SHA-256 digest recorded from the
 # hand-written schema that the derived one replaced)
@@ -140,6 +141,11 @@ def test_unknown_key_rejected(raw, path):
         ({"seed": "x"}, "seed"),
         ({"gate": {"tau": "0.5"}}, "gate.tau"),
         ({"calibration": {"taus": [0.5, True]}}, "calibration.taus[1]"),
+        ({"gate": {"epsilon": TOO_LARGE}}, "gate.epsilon"),
+        ({"backend": {"timeout_s": TOO_LARGE}}, "backend.timeout_s"),
+        ({"synthetic": {"sep_sigma": TOO_LARGE}}, "synthetic.sep_sigma"),
+        ({"synthetic": {"judge_cost_s": TOO_LARGE}}, "synthetic.judge_cost_s"),
+        ({"calibration": {"taus": [0.5, -TOO_LARGE]}}, "calibration.taus[1]"),
     ],
 )
 def test_invalid_value_names_its_field(raw, path):

@@ -3,9 +3,13 @@ scheduling, analytic speedup, and scheduler transparency."""
 
 import math
 import threading
+import zlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spec_funnel.backends.synthetic import (
     SyntheticBackend,
@@ -377,3 +381,78 @@ class TestForeignExceptions:
         backend = BuggyBackend(SyntheticBackend(synthetic_config), "agentic_run")
         with pytest.raises(KeyError):
             serve_batch_baseline(queries, ScheduleConfig(mode=mode), backend)
+
+
+def _oracle_stage_s(outcomes, schedule):
+    """Stage makespans re-derived from outcomes in input order by filtering
+    on each outcome's path; the reference for what the stage runner
+    schedules as each stage returns."""
+    toolfree = [
+        o.latency.speculate_s for o in outcomes if o.path is not QueryPath.TOOL_REQUIRED_FALLBACK
+    ]
+    residual = [o.latency.agentic_s for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
+    return {
+        "judge": _wave_makespan([o.latency.judge_s for o in outcomes], schedule.frontend_workers),
+        "speculate": _wave_makespan(toolfree, schedule.frontend_workers),
+        "agentic": _list_schedule_makespan(residual, schedule.agentic_workers),
+    }
+
+
+class JitteryFaultyBackend(FaultyBackend):
+    """FaultyBackend whose judge and draft costs differ from query to query,
+    so a makespan taken over the wrong calls or in the wrong order shows."""
+
+    @staticmethod
+    def _cost(phase, query):
+        return zlib.crc32(f"{phase}/{query.id}".encode()) % 1000 / 997.0
+
+    def judge(self, query):
+        return replace(super().judge(query), latency_s=self._cost("judge", query))
+
+    def speculate(self, query):
+        return replace(super().speculate(query), latency_s=self._cost("speculate", query))
+
+
+class TestSimulatedMakespansMatchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 60),
+        frontend_workers=st.integers(1, 9),
+        agentic_workers=st.integers(1, 4),
+        quota=st.none() | st.tuples(st.sampled_from([0.0, 0.3, 0.8, 1.0]), st.sampled_from([0.0, 0.5, 1.0])),
+        jitter=st.booleans(),
+        data=st.data(),
+    )
+    def test_serve_and_baseline_makespans(
+        self, seed, n, frontend_workers, agentic_workers, quota, jitter, data
+    ):
+        config = SyntheticConfig(seed=seed)
+        queries = make_workload(config, n) if quota is None else make_quota_workload(config, n, *quota)
+        ids = [q.id for q in queries]
+        fail = {
+            phase: data.draw(st.sets(st.sampled_from(ids), max_size=n), label=phase)
+            for phase in ("judge", "speculate", "agentic")
+        }
+        wrapper = JitteryFaultyBackend if jitter else FaultyBackend
+        schedule = ScheduleConfig(frontend_workers=frontend_workers, agentic_workers=agentic_workers)
+
+        def in_input_order(outcomes):
+            by_id = {o.query_id: o for o in outcomes}
+            return [by_id[q.id] for q in queries]
+
+        outcomes, stats = serve_batch(
+            queries, GateConfig(tau=0.9), schedule, wrapper(SyntheticBackend(config), fail)
+        )
+        want = _oracle_stage_s(in_input_order(outcomes), schedule)
+        assert stats.frontend_makespan_s == want["judge"] + want["speculate"]
+        assert stats.fallback_makespan_s == want["agentic"]
+
+        baseline_outcomes, baseline = serve_batch_baseline(
+            queries, schedule, wrapper(SyntheticBackend(config), fail)
+        )
+        want = _oracle_stage_s(in_input_order(baseline_outcomes), schedule)
+        assert baseline.frontend_makespan_s == want["judge"] + want["speculate"] == 0.0
+        assert baseline.fallback_makespan_s == want["agentic"]
+        assert baseline.baseline_makespan_s == want["agentic"]
+        assert stats.baseline_makespan_s == want["agentic"]

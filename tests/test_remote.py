@@ -28,6 +28,9 @@ from spec_funnel.backends.remote import (
 from spec_funnel.errors import BackendUnavailable, ValidationError
 from spec_funnel.gate import AnswerLogits, TokenLogits
 
+# a JSON integer no float can hold; float() of it raises OverflowError
+TOO_LARGE = pytest.param(int("9" * 401), id="int_too_large")
+
 
 def speculate_body(answer="A", n_tokens=2, n_logprobs=5):
     tokens = []
@@ -475,7 +478,7 @@ class TestParserEdgeCases:
         masked["tokens"][1]["top_logprobs"].append({"token": "m1", "logprob": -math.inf})
         assert parse_speculate_response(masked, 8) == parse_speculate_response(body, 8)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, False, "-0.5", None])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, False, "-0.5", None, TOO_LARGE])
     def test_nan_or_positive_inf_logprob_unavailable(self, value):
         body = speculate_body(n_logprobs=5)
         body["tokens"][1]["top_logprobs"][3]["logprob"] = value
@@ -543,7 +546,7 @@ class TestParserEdgeCases:
         with pytest.raises(ValidationError):
             replay_speculations(tmp_path / "never-read.jsonl", top_logprobs)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5", TOO_LARGE])
     def test_non_finite_latency_unavailable(self, value):
         with pytest.raises(BackendUnavailable):
             parse_judge_response({"g": 0, "latency_s": value})
