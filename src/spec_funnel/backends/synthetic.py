@@ -141,8 +141,8 @@ def _int_weights(weights, name) -> dict[int, float]:
     out = {}
     for key, value in dict(weights).items():
         weight = float(value)
-        if weight < 0.0:
-            raise ValidationError(f"{name} weights must be >= 0")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValidationError(f"{name} weights must be finite and >= 0")
         out[int(key)] = weight
     if sum(out.values()) <= 0.0:
         raise ValidationError(f"{name} must have positive total mass")

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .funnel import serve_batch, serve_batch_baseline
 from .gate import Scoring, gate
-from .pipeline import QueryPath, expected_latency, run_phases
+from .pipeline import QueryPath, _fallback, answers_match, expected_latency
 from .recordio import (
     ABLATE_AGGREGATION_HEADER,
     ABLATE_BATCH_HEADER,
@@ -191,13 +191,13 @@ def _agentic_reference(workload, backend):
     """Run the agentic loop once per query, as the baseline does: fallback
     accuracy, mean cost and the number of failed loops, which count in
     neither."""
-    outcomes = run_phases(workload, None, backend, bypass=False)
-    done = [o for o in outcomes if o.error is None]
-    if outcomes and not done:
-        raise BackendUnavailable(f"every agentic run failed; first error: {outcomes[0].error}")
-    accuracy = _accuracy(outcomes)
-    n_failed = len(outcomes) - len(done)
-    return 0.0 if accuracy is None else accuracy, _mean([o.latency.agentic_s for o in done]), n_failed
+    runs = [(query, *_fallback(backend, query)) for query in workload]
+    done = [(query, answer, agentic_s) for query, answer, error, agentic_s in runs if error is None]
+    if runs and not done:
+        raise BackendUnavailable(f"every agentic run failed; first error: {runs[0][2]}")
+    labeled = [answers_match(answer, q.ground_truth) for q, answer, _ in done if q.ground_truth is not None]
+    accuracy = float(np.mean(labeled)) if labeled else 0.0
+    return accuracy, _mean([agentic_s for _, _, agentic_s in done]), len(runs) - len(done)
 
 
 def _warn_failed(command: str, n_failed: int) -> None:

@@ -478,6 +478,11 @@ class TestTypedOverrides:
             pytest.param(
                 f"synthetic.judge_cost_s={TOO_LARGE}", "synthetic.judge_cost_s", id="judge_cost_s-int_too_large"
             ),
+            *(
+                (f'synthetic.{name}={{"1": {value}, "2": 1}}', name)
+                for name in ("depth_weights", "answer_len_weights")
+                for value in ("NaN", "Infinity", "-Infinity")
+            ),
         ],
     )
     def test_non_finite_setting_exits_2_naming_the_field(self, tmp_path, capsys, override, name):
