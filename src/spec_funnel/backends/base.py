@@ -51,10 +51,12 @@ class Query:
 
 
 def integral(value) -> int:
-    """The int an integral JSON number stands for; any other value, a bool
-    or a fraction included, is a ValidationError."""
+    """The int an integral JSON number stands for, if 64 bits hold it; any
+    other value, a bool, a fraction or a larger int included, is an error."""
     if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
+        if -(2**63) <= value < 2**63:
+            return int(value)
+        raise ValidationError("must be an integer, got one outside the signed 64-bit range")
     raise ValidationError(f"must be an integer, got {value!r}")
 
 

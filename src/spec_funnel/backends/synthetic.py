@@ -13,10 +13,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Annotated, Mapping
 
 import numpy as np
 
+from ..bounds import Range, check_bounds
 from ..errors import ValidationError
 from ..gate import AnswerLogits, TokenLogits
 from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, substream
@@ -50,14 +51,13 @@ _TAIL_CACHE: dict[int, tuple[np.ndarray, float, float]] = {}
 class Uniform:
     """Closed-interval uniform distribution; low == high is a point mass."""
 
-    low: float
+    low: Annotated[float, Range(0)]
     high: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.low) and math.isfinite(self.high)):
-            raise ValidationError("uniform bounds must be finite")
-        if self.low < 0.0 or self.high < self.low:
-            raise ValidationError("uniform bounds must satisfy 0 <= low <= high")
+        check_bounds(self)
+        if self.high < self.low:
+            raise ValidationError("uniform bounds must satisfy low <= high")
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
@@ -82,71 +82,34 @@ class SyntheticConfig:
     """
 
     seed: int = 0
-    vocab_k: int = 64
-    p_tool_required: float = 0.3
-    depth_weights: Mapping[int, float] = field(default_factory=_default_depth_weights)
-    draft_accuracy_toolfree: float = 0.85
-    draft_accuracy_toolreq: float = 0.30
-    agentic_accuracy: float = 0.90
-    judge_accuracy: float = 0.92
+    vocab_k: Annotated[int, Range(2)] = 64
+    p_tool_required: Annotated[float, Range(0, 1)] = 0.3
+    depth_weights: Annotated[Mapping[int, float], Range(0)] = field(default_factory=_default_depth_weights)
+    draft_accuracy_toolfree: Annotated[float, Range(0, 1)] = 0.85
+    draft_accuracy_toolreq: Annotated[float, Range(0, 1)] = 0.30
+    agentic_accuracy: Annotated[float, Range(0, 1)] = 0.90
+    judge_accuracy: Annotated[float, Range(0, 1)] = 0.92
     sep_mu_correct: float = 4.0
     sep_mu_incorrect: float = 0.5
-    sep_sigma: float = 0.6
-    answer_len_weights: Mapping[int, float] = field(default_factory=_default_answer_len_weights)
-    judge_cost_s: float = 0.05
-    speculate_cost_s: float = 0.25
-    llm_step_cost_s: float = 1.0
+    sep_sigma: Annotated[float, Range(0)] = 0.6
+    answer_len_weights: Annotated[Mapping[int, float], Range(0)] = field(default_factory=_default_answer_len_weights)
+    judge_cost_s: Annotated[float, Range(0)] = 0.05
+    speculate_cost_s: Annotated[float, Range(0)] = 0.25
+    llm_step_cost_s: Annotated[float, Range(0)] = 1.0
     tool_cost: Uniform = Uniform(0.4, 0.9)
-    depth_cap: int = 5
+    depth_cap: Annotated[int, Range(1)] = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "depth_weights", _int_weights(self.depth_weights, "depth_weights"))
-        object.__setattr__(
-            self, "answer_len_weights", _int_weights(self.answer_len_weights, "answer_len_weights")
-        )
-        if self.vocab_k < 2:
-            raise ValidationError("vocab_k must be at least 2")
-        if self.depth_cap < 1:
-            raise ValidationError("depth_cap must be at least 1")
-        for name in (
-            "p_tool_required",
-            "draft_accuracy_toolfree",
-            "draft_accuracy_toolreq",
-            "agentic_accuracy",
-            "judge_accuracy",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
-        for name in ("judge_cost_s", "speculate_cost_s", "llm_step_cost_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name} must be finite and >= 0")
-        for name in ("sep_mu_correct", "sep_mu_incorrect", "sep_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        check_bounds(self)
         if not self.sep_mu_correct > self.sep_mu_incorrect:
             raise ValidationError("sep_mu_correct must exceed sep_mu_incorrect")
-        if self.sep_sigma < 0.0:
-            raise ValidationError("sep_sigma must be >= 0")
-        if min(self.answer_len_weights) < 1:
-            raise ValidationError("answer lengths must be >= 1")
-        if min(self.depth_weights) < 0:
-            raise ValidationError("depths must be >= 0")
-
-
-def _int_weights(weights, name) -> dict[int, float]:
-    if not weights:
-        raise ValidationError(f"{name} must be non-empty")
-    out = {}
-    for key, value in dict(weights).items():
-        weight = float(value)
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ValidationError(f"{name} weights must be finite and >= 0")
-        out[int(key)] = weight
-    if sum(out.values()) <= 0.0:
-        raise ValidationError(f"{name} must have positive total mass")
-    return out
+        for name, least_key in (("depth_weights", 0), ("answer_len_weights", 1)):
+            weights = {int(k): float(w) for k, w in dict(getattr(self, name)).items()}
+            if not 0.0 < sum(weights.values()) < math.inf:
+                raise ValidationError(f"{name} must be non-empty with a positive, finite total mass")
+            if min(weights) < least_key:
+                raise ValidationError(f"{name} keys must be >= {least_key}")
+            object.__setattr__(self, name, weights)
 
 
 @functools.lru_cache(maxsize=64)

@@ -8,12 +8,13 @@ detectable.
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Annotated
 
 from .backends.remote import DEFAULT_JUDGE_PROMPT
 from .backends.synthetic import SyntheticConfig
+from .bounds import Range, check_bounds
 from .errors import ConfigError, ValidationError
 from .funnel import ScheduleConfig
 from .gate import GateConfig
@@ -35,76 +36,66 @@ __all__ = [
 class BackendSettings:
     kind: str = "synthetic"
     endpoint: str | None = None
-    top_logprobs: int = 64
-    timeout_s: float = 30.0
+    top_logprobs: Annotated[int, Range(1)] = 64
+    timeout_s: Annotated[float, Range(0, open=True)] = 30.0
     judge_prompt: str = DEFAULT_JUDGE_PROMPT
     exchange_log: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "remote"):
             raise ValidationError("backend kind must be 'synthetic' or 'remote'")
-        if self.top_logprobs < 1:
-            raise ValidationError("top_logprobs must be >= 1")
-        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0.0):
-            raise ValidationError("timeout_s must be finite and > 0")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class QuotaSettings:
-    beta: float
-    alpha: float
+    beta: Annotated[float, Range(0, 1)]
+    alpha: Annotated[float, Range(0, 1)]
 
     def __post_init__(self):
-        for name, value in (("beta", self.beta), ("alpha", self.alpha)):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"quota {name} must lie in [0, 1]")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class WorkloadSettings:
-    n_queries: int = 1000
+    n_queries: Annotated[int, Range(1)] = 1000
     quota: QuotaSettings | None = None
 
     def __post_init__(self):
-        if self.n_queries < 1:
-            raise ValidationError("n_queries must be >= 1")
+        check_bounds(self)
 
 
-def _finite_grid(values, name) -> tuple[float, ...] | None:
+def _grid(values) -> tuple[float, ...] | None:
     """A threshold grid as floats, None for no grid or an empty one."""
     if values is None:
         return None
-    grid = tuple(float(v) for v in values)
-    if not all(map(math.isfinite, grid)):
-        raise ValidationError(f"{name} must be finite")
-    return grid or None
+    return tuple(float(v) for v in values) or None
 
 
 @dataclass(frozen=True)
 class CalibrationSettings:
-    n_taus: int = 33
-    taus: tuple[float, ...] | None = None
-    bandwidth: float | None = None
+    n_taus: Annotated[int, Range(1)] = 33
+    taus: Annotated[tuple[float, ...] | None, Range(0, 1, open=True)] = None  # a gate's tau
+    bandwidth: Annotated[float | None, Range(0, open=True)] = None
 
     def __post_init__(self):
-        if self.n_taus < 1:
-            raise ValidationError("n_taus must be >= 1")
-        if self.bandwidth is not None and not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
-            raise ValidationError("bandwidth must be finite and > 0")
         # an empty grid means the default one, and digests as such
-        object.__setattr__(self, "taus", _finite_grid(self.taus, "taus"))
+        object.__setattr__(self, "taus", _grid(self.taus))
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class AblationSettings:
-    batch_sizes: tuple[int, ...] = (1, 8, 64, 256, 1024)
-    top_k: tuple[int, ...] = (8, 16, 32, 64, 128)
+    batch_sizes: Annotated[tuple[int, ...], Range(1)] = (1, 8, 64, 256, 1024)
+    top_k: Annotated[tuple[int, ...], Range(2)] = (8, 16, 32, 64, 128)
     thresholds: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", _finite_grid(self.thresholds, "thresholds"))
-        if any(b < 1 for b in self.batch_sizes) or any(k < 2 for k in self.top_k):
-            raise ValidationError("batch sizes must be >= 1 and top_k values >= 2")
+        object.__setattr__(self, "thresholds", _grid(self.thresholds))
+        check_bounds(self)
+        for name in ("batch_sizes", "top_k"):
+            if not getattr(self, name):
+                raise ValidationError(f"{name} must be non-empty")
 
 
 @dataclass(frozen=True)

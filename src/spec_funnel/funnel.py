@@ -20,8 +20,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import Annotated
 
 from .backends.base import Backend, Query
+from .bounds import Range, check_bounds
 from .errors import InfiniteSpeedup, ValidationError
 from .gate import GateConfig
 # process_query stays importable here: perfbench/tracing.py wraps funnel.process_query by name
@@ -47,15 +49,14 @@ class ScheduleMode(str, Enum):
 class ScheduleConfig:
     """Worker pool sizes and clock mode."""
 
-    frontend_workers: int = 8
-    agentic_workers: int = 1
+    frontend_workers: Annotated[int, Range(1)] = 8
+    agentic_workers: Annotated[int, Range(1)] = 1
     mode: ScheduleMode = ScheduleMode.SIMULATED
 
     def __post_init__(self):
         if not isinstance(self.mode, ScheduleMode):
             object.__setattr__(self, "mode", ScheduleMode(self.mode))
-        if self.frontend_workers < 1 or self.agentic_workers < 1:
-            raise ValidationError("worker counts must be >= 1")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _list_schedule_makespan(durations, workers: int) -> float:
     """Earliest-free-worker FIFO assignment; returns the max worker finish time."""
     if not durations:
         return 0.0
-    heap = [(0.0, idx) for idx in range(workers)]
+    heap = [(0.0, idx) for idx in range(min(workers, len(durations)))]  # the rest get no call
     for duration in durations:
         busy_until, idx = heapq.heappop(heap)
         heapq.heappush(heap, (busy_until + duration, idx))

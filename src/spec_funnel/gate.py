@@ -17,10 +17,11 @@ the same numbers one token at a time and serve as the reference for it.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
+from .bounds import Range, check_bounds
 from .errors import EmptyAnswerError, ValidationError
 
 __all__ = [
@@ -156,23 +157,16 @@ class GateConfig:
     threshold applied to the normalized (0, 1) score.
     """
 
-    k: int = 64
-    epsilon: float = 1e-6
+    k: Annotated[int, Range(2)] = 64  # a margin needs a competitor
+    epsilon: Annotated[float, Range(0, open=True)] = 1e-6
     aggregation: Scoring = Scoring.MIN
-    bottom_ratio: float = 0.2
-    tau: float = 0.94
+    bottom_ratio: Annotated[float, Range(0, 1, open=True)] = 0.2
+    tau: Annotated[float, Range(0, 1, open=True)] = 0.94
 
     def __post_init__(self):
         if not isinstance(self.aggregation, Scoring):
             object.__setattr__(self, "aggregation", Scoring(self.aggregation))
-        if self.k < 2:
-            raise ValidationError("k must be at least 2 (a margin needs a competitor)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValidationError("epsilon must be a positive finite real")
-        if not 0.0 < self.bottom_ratio < 1.0:
-            raise ValidationError("bottom_ratio must lie strictly inside (0, 1)")
-        if not 0.0 < self.tau < 1.0:
-            raise ValidationError("tau must lie strictly inside (0, 1)")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from_plain reads it back, the one schema walker the run config uses too.
 import csv
 import functools
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -131,6 +132,8 @@ def write_csv(path, header, rows) -> None:
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _NUMBERS = {int: integral, float: real}
+_SPELLED = {bool: "true or false", str: "a string"}
+_DECIMAL = re.compile(r"-?[0-9]{1,640}")  # int() reads it under any int_max_str_digits
 
 
 def to_plain(value):
@@ -157,9 +160,12 @@ def from_plain(kind, data, path: str = "", **fixed):
     than `fixed`, whose values the caller supplies; unknown keys are
     rejected and None stands for all defaults. Field values follow their
     annotations: nested dataclasses and enums, `X | None`, tuples from
-    lists, an int only from an integral number, a float only from a number
-    and a bool only from true or false. Anything else passes through for the
-    dataclass to validate. A ConfigError names the path of the failing field.
+    lists, an int only from an integral number that fits 64 bits, a float
+    only from a number, a bool only from true or false, a str only from a
+    string, and a Mapping[int, V] from an object whose keys spell decimal
+    integers, each entry read as the field `path.key`. Anything else passes
+    through for the dataclass to validate. A ConfigError names the path of
+    the failing field.
     """
     if type(None) in get_args(kind):
         if data is None:
@@ -178,14 +184,19 @@ def from_plain(kind, data, path: str = "", **fixed):
             return kind(**fixed, **values)
         except (ValidationError, TypeError) as exc:
             raise ConfigError(str(exc), field=path) from exc
-    if kind is bool:
-        if type(data) is bool:
+    if kind in _SPELLED:
+        if type(data) is kind:
             return data
-        raise ConfigError(f"must be true or false, got {data!r}", field=path)
+        raise ConfigError(f"must be {_SPELLED[kind]}, got {data!r}", field=path)
     if get_origin(kind) is tuple:
         if not isinstance(data, (list, tuple)):
             raise ConfigError(f"must be a list, got {data!r}", field=path)
         return tuple(from_plain(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(data))
+    if get_origin(kind) is Mapping:
+        if not isinstance(data, dict):
+            raise ConfigError(f"must be an object, got {data!r}", field=path)
+        keys = {k: from_plain(int, int(k) if _DECIMAL.fullmatch(k) else k, f"{path}.{k}") for k in data}
+        return {keys[k]: from_plain(get_args(kind)[1], v, f"{path}.{k}") for k, v in data.items()}
     if kind in _NUMBERS or (isinstance(kind, type) and issubclass(kind, Enum)):
         try:
             return _NUMBERS.get(kind, kind)(data)

@@ -169,7 +169,10 @@ class TestCalibrateCommand:
             ("calibrate", "calibration.bandwidth=NaN", "bandwidth"),
             ("calibrate", "calibration.bandwidth=Infinity", "bandwidth"),
             ("calibrate", "calibration.taus=[NaN, 0.5]", "taus"),
+            ("calibrate", "calibration.taus=[1.5, 2]", "taus"),
             ("ablate --axis threshold", "ablation.thresholds=[0.5, Infinity]", "thresholds"),
+            ("ablate --axis top_k", "ablation.top_k=[]", "top_k"),
+            ("ablate --axis batch_size", "ablation.batch_sizes=[]", "batch_sizes"),
         ],
     )
     def test_unusable_sweep_setting_exits_2_naming_the_field(self, tmp_path, capsys, command, override, name):
@@ -483,6 +486,8 @@ class TestTypedOverrides:
                 for name in ("depth_weights", "answer_len_weights")
                 for value in ("NaN", "Infinity", "-Infinity")
             ),
+            ('synthetic.depth_weights={"1": 1e308, "2": 1e308}', "depth_weights"),
+            ('synthetic.answer_len_weights={"1": 1e308, "2": 1e308}', "answer_len_weights"),
         ],
     )
     def test_non_finite_setting_exits_2_naming_the_field(self, tmp_path, capsys, override, name):

@@ -146,6 +146,13 @@ def test_unknown_key_rejected(raw, path):
         ({"synthetic": {"sep_sigma": TOO_LARGE}}, "synthetic.sep_sigma"),
         ({"synthetic": {"judge_cost_s": TOO_LARGE}}, "synthetic.judge_cost_s"),
         ({"calibration": {"taus": [0.5, -TOO_LARGE]}}, "calibration.taus[1]"),
+        ({"synthetic": {"vocab_k": TOO_LARGE}}, "synthetic.vocab_k"),
+        ({"calibration": {"n_taus": TOO_LARGE}}, "calibration.n_taus"),
+        ({"schedule": {"agentic_workers": TOO_LARGE}}, "schedule.agentic_workers"),
+        ({"workload": {"n_queries": TOO_LARGE}}, "workload.n_queries"),
+        ({"seed": 2**63}, "seed"),
+        ({"backend": {"endpoint": 5}}, "backend.endpoint"),
+        ({"backend": {"judge_prompt": ["hi"]}}, "backend.judge_prompt"),
     ],
 )
 def test_invalid_value_names_its_field(raw, path):

@@ -456,3 +456,16 @@ class TestSimulatedMakespansMatchOracle:
         assert baseline.fallback_makespan_s == want["agentic"]
         assert baseline.baseline_makespan_s == want["agentic"]
         assert stats.baseline_makespan_s == want["agentic"]
+
+    @pytest.mark.parametrize("agentic_workers", [31, 10**12])
+    def test_more_agentic_workers_than_calls(self, agentic_workers):
+        config = SyntheticConfig(seed=4)
+        queries = make_workload(config, 30)
+        schedule = ScheduleConfig(agentic_workers=agentic_workers)
+        outcomes, stats = serve_batch(queries, GateConfig(tau=0.9), schedule, SyntheticBackend(config))
+        baseline_outcomes, baseline = serve_batch_baseline(queries, schedule, SyntheticBackend(config))
+        # each call has a worker of its own, so a stage lasts as long as its longest call
+        residual = [o.latency.agentic_s for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
+        assert stats.fallback_makespan_s == max(residual)
+        assert baseline.fallback_makespan_s == max(o.latency.agentic_s for o in baseline_outcomes)
+        assert stats.baseline_makespan_s == baseline.fallback_makespan_s

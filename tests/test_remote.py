@@ -565,6 +565,8 @@ class TestParserEdgeCases:
             ("agentic", {"answer": "B", "depth": 0, "step_costs": [[0.5, 0.0, 0.1]]}),
             ("agentic", {"answer": "B", "depth": 0, "step_costs": [["1.5", True]]}),
             ("agentic", {"answer": "B", "depth": 0, "step_costs": [[1.5, False]]}),
+            ("judge", {"g": 2**63, "latency_s": 0.05}),
+            ("agentic", {"answer": "B", "depth": int("9" * 401), "step_costs": [[0.5, 0.0]]}),
         ],
     )
     def test_values_that_would_truncate_unavailable(self, route, body):
