@@ -9,44 +9,162 @@ mode can be exercised end to end without any real model:
     spec-funnel run --endpoint http://127.0.0.1:8723 \
         --set schedule.mode=measured --set workload.n_queries=50
 
-The server speaks HTTP/1.1 and keeps connections alive, so each client
-worker thread holds one connection for a whole stage, and it sends each
-reply (status line, headers and body) in one write. Every reply carries a
-Content-Length. An unknown route gets a 404, and a body that is not a JSON
-object or does not make a query gets a 400; both keep the connection open.
-A request whose Content-Length is not a count gets a 400 and the connection
-is closed.
+The server reads requests itself and speaks this subset of HTTP/1.1:
+
+- connections are kept alive, so each client worker thread holds one
+  connection for a whole stage; after an HTTP/1.0 request or one with
+  `Connection: close`, the connection is closed after the reply;
+- a request body is framed by Content-Length only (no Content-Length means
+  an empty body), and no other header but Connection and Transfer-Encoding
+  is read;
+- each reply is one write of status line, Content-Type, Content-Length and
+  body.
+
+A request gets one of these replies:
+
+- 200 with the route's JSON result;
+- 400 for a body that is not a JSON object or does not make a query (its
+  top_logprobs, 64 if absent, must be an integer >= 1), 404 for an unknown
+  route and 501 for a method other than POST, each keeping the connection;
+- 400 and close for a malformed request line (or one over 64 KiB), a
+  malformed header line, or a Content-Length that is not one non-negative
+  integer; 413 and close for a body over 1 MiB; 431 and close for a header
+  line over 64 KiB or more than 100 headers; 501 and close for any
+  Transfer-Encoding.
+
+A client that disconnects mid-request is dropped without a reply.
 """
 
 import argparse
+import functools
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socketserver
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
 
-from spec_funnel.backends.base import Query
+from spec_funnel.backends.base import Query, integral
 from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig
 from spec_funnel.errors import ValidationError
 
+MAX_LINE = 65536  # bytes in the request line or in one header line
+MAX_HEADERS = 100
+MAX_BODY = 1 << 20
+# Logprob texts kept per server. Each row repeats the generator's fixed tail
+# and adds one new top value, so an unbounded memo would grow with every draft.
+LOGPROB_MEMO = 1024
+
+
+class Refused(Exception):
+    """A request whose framing cannot be trusted: reply, then close."""
+
+    def __init__(self, status: HTTPStatus, reason: str):
+        super().__init__(reason)
+        self.status = status
+
+
+def speculate_json(draft, limit: int, number) -> str:
+    """json.dumps of the /speculate body for `draft`, each logprob's text
+    taken from `number` (json.dumps or a memo of it)."""
+    logits = draft.token_logits
+    answer = json.dumps(draft.answer)
+    tokens = []
+    text = answer
+    for row, n in zip(logits.values.tolist(), logits.lengths.tolist()):
+        # a memo keyed on the float would give 0.0 and -0.0 one text
+        entries = ", ".join(
+            [
+                f'{{"token": "tok{j}", "logprob": {number(v) if v else json.dumps(v)}}}'
+                for j, v in enumerate(row[:n][:limit])
+            ]
+        )
+        tokens.append(f'{{"text": {text}, "top_logprobs": [{entries}]}}')
+        text = '""'  # the answer's text rides on its first token
+    return f'{{"answer": {answer}, "tokens": [{", ".join(tokens)}], "latency_s": {json.dumps(draft.latency_s)}}}'
+
 
 def make_handler(backend: SyntheticBackend):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    logprob_text = functools.lru_cache(maxsize=LOGPROB_MEMO)(json.dumps)
+
+    class Handler(socketserver.StreamRequestHandler):
         # a reply's last segment must not wait for the client's delayed ACK
         disable_nagle_algorithm = True
-        # buffered: handle_one_request's flush sends the whole reply at once
-        wbufsize = -1
+        memo = staticmethod(logprob_text)
 
-        def do_POST(self):  # noqa: N802 (http.server API)
+        def handle(self):
             try:
-                length = int(self.headers.get("Content-Length", 0))
-            except ValueError:
-                length = -1
-            if length < 0:
-                # the body's end is unknown, so no further request can be read
-                self.close_connection = True
-                self._reply(400, {"error": "bad Content-Length"})
-                return
+                while self._serve_one():
+                    pass
+            except ConnectionError:
+                pass  # the client went away mid-request or mid-reply
+
+        def _serve_one(self) -> bool:
+            """Read one request and reply to it; False once the connection is done."""
             try:
-                request = json.loads(self.rfile.read(length)) if length else {}
+                request = self._read_request()
+            except Refused as refused:
+                self._send(refused.status, json.dumps({"error": str(refused)}), close=True)
+                return False
+            if request is None:
+                return False
+            method, route, body, close = request
+            status, payload = self._respond(method, route, body)
+            self._send(status, payload, close)
+            return not close
+
+        def _read_line(self, too_long: HTTPStatus):
+            """The next line, or None at the end of the stream."""
+            line = self.rfile.readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                raise Refused(too_long, f"line over {MAX_LINE} bytes")
+            return line if line.endswith(b"\n") else None
+
+        def _read_request(self):
+            """(method, route, body, close) of the next request, or None if
+            the client closed the connection before sending all of it."""
+            line = self._read_line(HTTPStatus.BAD_REQUEST)
+            if line is None:
+                return None
+            words = line.split()
+            if len(words) != 3 or words[2] not in (b"HTTP/1.1", b"HTTP/1.0"):
+                raise Refused(HTTPStatus.BAD_REQUEST, "malformed request line")
+            method, route, version = words
+            close, length = version == b"HTTP/1.0", None
+            for count in range(MAX_HEADERS + 1):
+                line = self._read_line(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
+                if line is None:
+                    return None
+                if line in (b"\r\n", b"\n"):
+                    break
+                if count == MAX_HEADERS:
+                    raise Refused(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, f"over {MAX_HEADERS} headers")
+                name, colon, value = line.partition(b":")
+                if not colon:
+                    raise Refused(HTTPStatus.BAD_REQUEST, "malformed header line")
+                name, value = name.strip().lower(), value.strip()
+                if name == b"content-length":
+                    if not value.isdigit() or length not in (None, value):
+                        raise Refused(HTTPStatus.BAD_REQUEST, "bad Content-Length")
+                    length = value
+                elif name == b"transfer-encoding":
+                    raise Refused(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding is not supported")
+                elif name == b"connection":
+                    close = close or b"close" in [token.strip() for token in value.lower().split(b",")]
+            try:
+                size = int(length or 0)
+            except ValueError:  # more digits than int() reads
+                size = MAX_BODY + 1
+            if size > MAX_BODY:
+                raise Refused(HTTPStatus.REQUEST_ENTITY_TOO_LARGE, f"body over {MAX_BODY} bytes")
+            body = self.rfile.read(size)
+            return (method, route, body, close) if len(body) == size else None
+
+        def _respond(self, method: bytes, route: bytes, data: bytes):
+            """(status, JSON text) of the reply to one framed request."""
+            if method != b"POST":
+                error = f"unsupported method {method.decode('latin-1')}"
+                return HTTPStatus.NOT_IMPLEMENTED, json.dumps({"error": error})
+            try:
+                request = json.loads(data) if data else {}
                 if not isinstance(request, dict):
                     raise ValueError("not a JSON object")
                 query = Query(
@@ -54,30 +172,17 @@ def make_handler(backend: SyntheticBackend):
                     image_ref=str(request.get("image_ref", "")),
                     question=str(request.get("question", "")),
                 )
-                limit = int(request.get("top_logprobs", 64))
-            except (TypeError, ValueError, RecursionError, ValidationError) as exc:
-                self._reply(400, {"error": f"bad request body: {exc}"})
-                return
-            if self.path == "/judge":
+                limit = integral(request.get("top_logprobs", 64))
+                if limit < 1:
+                    raise ValidationError("top_logprobs must be >= 1")
+            except (TypeError, ValueError, RecursionError) as exc:
+                return HTTPStatus.BAD_REQUEST, json.dumps({"error": f"bad request body: {exc}"})
+            if route == b"/judge":
                 output = backend.judge(query)
                 body = {"g": output.g, "latency_s": output.latency_s}
-            elif self.path == "/speculate":
-                draft = backend.speculate(query)
-                logits = draft.token_logits
-                body = {
-                    "answer": draft.answer,
-                    "tokens": [
-                        {
-                            "text": draft.answer if i == 0 else "",
-                            "top_logprobs": [
-                                {"token": f"tok{j}", "logprob": v} for j, v in enumerate(row[:n][:limit])
-                            ],
-                        }
-                        for i, (row, n) in enumerate(zip(logits.values.tolist(), logits.lengths.tolist()))
-                    ],
-                    "latency_s": draft.latency_s,
-                }
-            elif self.path == "/agentic":
+            elif route == b"/speculate":
+                return HTTPStatus.OK, speculate_json(backend.speculate(query), limit, logprob_text)
+            elif route == b"/agentic":
                 output = backend.agentic_run(query)
                 body = {
                     "answer": output.answer,
@@ -86,20 +191,15 @@ def make_handler(backend: SyntheticBackend):
                     "latency_s": output.latency_s,
                 }
             else:
-                self._reply(404, {"error": f"unknown route {self.path}"})
-                return
-            self._reply(200, body)
+                return HTTPStatus.NOT_FOUND, json.dumps({"error": f"unknown route {route.decode('latin-1')}"})
+            return HTTPStatus.OK, json.dumps(body)
 
-        def _reply(self, status, body):
-            payload = json.dumps(body).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
+        def _send(self, status: HTTPStatus, text: str, close: bool):
+            payload = text.encode()
+            self.wfile.write(
+                b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
+                % (status, status.phrase.encode(), len(payload), b"Connection: close\r\n" if close else b"", payload)
+            )
 
     return Handler
 

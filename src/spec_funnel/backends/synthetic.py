@@ -271,7 +271,9 @@ class SyntheticBackend:
         for step in range(depth):
             rng = agentic_step_stream(cfg.seed, query.id, step, observation)
             steps.append((cfg.llm_step_cost_s, cfg.tool_cost.sample(rng)))
-            observation = rng.bytes(8).hex()
+            # rng.bytes(8).hex() without numpy's uint32 path: after one
+            # uniform no 32-bit half is buffered, so the bits are the same
+            observation = rng.bit_generator.random_raw().to_bytes(8, "little").hex()
         final = agentic_step_stream(cfg.seed, query.id, depth, observation)
         correct = bool(final.random() < cfg.agentic_accuracy)
         steps.append((cfg.llm_step_cost_s, 0.0))  # answer emission, no tool

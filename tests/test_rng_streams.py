@@ -14,7 +14,7 @@ import pytest
 
 from spec_funnel.backends import synthetic
 from spec_funnel.backends.base import Query, substream
-from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, sample_weighted
+from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, agentic_step_stream, sample_weighted
 from spec_funnel.errors import ValidationError
 
 
@@ -52,6 +52,17 @@ class TestSubstreamBits:
             seed = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
             expected = np.random.default_rng(seed).random(3)
             assert np.array_equal(substream(*keys).random(3), expected)
+
+
+class TestAgenticObservationBits:
+    def test_raw_draw_equals_bytes_after_one_uniform(self):
+        # agentic_run's tool step draws one uniform, then its observation
+        for i in range(1000):
+            keys = (i % 7, f"q{i:06d}", i % 5, f"{i * 2654435761:x}")
+            ours, oracle = agentic_step_stream(*keys), agentic_step_stream(*keys)
+            assert ours.uniform(0.4, 0.9) == oracle.uniform(0.4, 0.9)
+            assert ours.bit_generator.random_raw().to_bytes(8, "little").hex() == oracle.bytes(8).hex()
+            assert ours.random() == oracle.random()  # same stream position afterwards
 
 
 def _choice_oracle(rng, weights):
