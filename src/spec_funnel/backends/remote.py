@@ -12,20 +12,32 @@ final answer-emission step (tool_s = 0 there), so len(step_costs) must be
 depth + 1. Every successful exchange can be appended to a line-delimited
 JSON log for offline replay.
 
-Transport: one persistent stdlib connection per thread, kept while the
-server keeps it alive. A kept connection the server closed while idle is
-replaced before the next request; a POST is never sent twice. The adapter
-connects directly and reads no proxy settings from the environment.
+Transport: one persistent connection per thread, kept while the server
+keeps it alive. http.client's HTTPConnection or HTTPSConnection connects
+(and does TLS); the adapter writes each request in one send and reads the
+response itself, through one buffered reader per connection. It reads this
+subset of HTTP/1.1: a status line of HTTP/1.1 or HTTP/1.0 and a three-digit
+code, 1xx responses skipped, and of the headers only Content-Length,
+Transfer-Encoding (which must be chunked) and Connection. A body with neither
+framing header runs to EOF and the connection is then closed, as it is after
+an HTTP/1.0 reply or Connection: close. A line may be 64 KiB long with its
+line ending and a response may carry 100 headers, http.client's limits. A
+framing fault closes the connection and fails the call. A kept connection
+the server closed while idle, or that holds bytes after a complete
+response, is replaced before the next request; a POST is never sent twice.
+The adapter connects directly and reads no proxy settings from the
+environment.
 """
 
 import functools
-import http.client
 import json
 import math
 import operator
+import re
 import select
 import threading
 import weakref
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -69,11 +81,13 @@ _LOGPROB = operator.itemgetter("logprob")
 def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
     _check_top_logprobs(top_logprobs)
     try:
-        answer = str(body["answer"])
+        answer = body["answer"]
         tokens = body["tokens"]
         latency = float(real(body["latency_s"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed speculate response: {exc!r}") from exc
+    if not isinstance(answer, str):
+        raise BackendUnavailable("speculate response answer must be a string")
     if not isinstance(tokens, list):
         raise BackendUnavailable("speculate response tokens must be a list")
     rows = []
@@ -112,11 +126,13 @@ def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
 
 def parse_agentic_response(body, max_steps: int) -> AgenticOutput:
     try:
-        answer = str(body["answer"])
+        answer = body["answer"]
         depth = integral(body["depth"])
         raw_costs = body["step_costs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendUnavailable(f"malformed agentic response: {exc!r}") from exc
+    if not isinstance(answer, str):
+        raise BackendUnavailable("agentic response answer must be a string")
     if not isinstance(raw_costs, list) or not all(isinstance(c, list) and len(c) == 2 for c in raw_costs):
         raise BackendUnavailable("step_costs must be a list of [llm_s, tool_s] pairs")
     try:
@@ -139,9 +155,10 @@ def parse_agentic_response(body, max_steps: int) -> AgenticOutput:
 class RemoteBackend:
     """Adapter speaking the three-route protocol against a base URL.
 
-    Safe for bounded concurrent use: each thread keeps one persistent stdlib
+    Safe for bounded concurrent use: each thread keeps one persistent
     connection, reconnects when the server closed an idle connection, and
     never resends a request; exchange-log appends are serialized by a lock.
+    A connection lives until its thread ends or close() is called.
     """
 
     def __init__(
@@ -199,21 +216,18 @@ class RemoteBackend:
         Call it only while no request is in flight.
         """
         with self._connections_lock:
-            for conn in list(self._connections):
-                conn.close()
+            for link in list(self._connections):
+                link.close()
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connect()
-            self._local.closer = _Closer(conn)  # dropped with the thread's locals
+    def _link(self) -> "_Link":
+        link = getattr(self._local, "link", None)
+        if link is None:
+            link = self._local.link = _Link(self._connect())  # dropped with the thread's locals
             with self._connections_lock:
-                self._connections.add(conn)
-        elif conn.sock is not None and _readable(conn.sock):
-            # an idle kept-alive socket with something to read was closed
-            # (or garbled) by the server; the next send would be lost on it
-            conn.close()
-        return conn
+                self._connections.add(link)
+        elif link.stale():
+            link.close()
+        return link
 
     def _post(self, route: str, payload: dict) -> dict:
         body = json.dumps(payload).encode()
@@ -222,20 +236,14 @@ class RemoteBackend:
             f"Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n\r\n"
         )
-        conn = self._connection()
+        link = self._link()
         try:
-            # one send for headers and body; send() connects a closed connection
-            conn.send(head.encode("ascii") + body)
-            response = http.client.HTTPResponse(conn.sock, method="POST")
-            response.begin()
-            data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+            status, data = link.exchange(head.encode("ascii") + body)
+        except (OSError, HTTPException) as exc:
+            link.close()
             raise BackendUnavailable(f"{route}: {exc}") from exc
-        if response.will_close:
-            conn.close()
-        if response.status != 200:
-            raise BackendUnavailable(f"{route}: HTTP {response.status}")
+        if status != 200:
+            raise BackendUnavailable(f"{route}: HTTP {status}")
         try:
             body = json.loads(data)
         except (ValueError, RecursionError) as exc:
@@ -293,17 +301,160 @@ def _check_top_logprobs(top_logprobs: int) -> None:
         raise ValidationError("top_logprobs must be >= 1")
 
 
-_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+_CONNECTIONS = {"http": HTTPConnection, "https": HTTPSConnection}
 
 
-class _Closer:
-    """Closes a connection when freed, as a thread's locals are when it ends."""
+_MAX_LINE = 65536  # bytes in one status, header or chunk-size line, its line ending included
+_MAX_HEADERS = 100
+_RECV_BYTES = 65536
+_CONTENT_LENGTH = re.compile(rb"[0-9]{1,18}")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
+
+
+class _Link:
+    """One thread's connection and the buffered reader of its socket.
+
+    buf[pos:] holds what was received and not yet parsed; it is emptied
+    whenever the socket is replaced. Closes the connection when freed, as a
+    thread's locals are when the thread ends.
+    """
 
     def __init__(self, conn):
         self.conn = conn
+        self.sock = None
+        self.buf = b""
+        self.pos = 0
 
     def __del__(self):
+        self.close()
+
+    def close(self) -> None:
         self.conn.close()
+        self.sock = None
+        self.buf, self.pos = b"", 0
+
+    def stale(self) -> bool:
+        """Whether an idle open socket holds bytes no request asked for:
+        left after the last response, or sent since, which is how a server
+        closing the connection shows. The next send would be lost on it."""
+        return self.sock is not None and (self.pos < len(self.buf) or _readable(self.sock))
+
+    def exchange(self, request: bytes) -> tuple[int, bytes]:
+        """Send one request and read its final response: (status, body)."""
+        if self.sock is None:
+            self.conn.connect()
+            self.sock = self.conn.sock
+        self.conn.send(request)
+        status = 100
+        while 100 <= status < 200:  # interim responses carry no body
+            version, status = self._status_line()
+            length, chunked, close = self._headers()
+        if chunked:
+            body = self._chunked()
+        elif length is not None:
+            body = self._read(length)
+        else:
+            body, close = self._read_to_eof(), True
+        if close or version == b"HTTP/1.0":
+            self.close()
+        return status, body
+
+    def _status_line(self) -> tuple[bytes, int]:
+        line = self._line("status line")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        status = int(code) if code.isdigit() and len(code) == 3 and rest[3:4] in (b"", b" ") else 0
+        if version not in (b"HTTP/1.1", b"HTTP/1.0") or status < 100:
+            raise HTTPException(f"bad status line {line[:80]!r}")
+        return version, status
+
+    def _headers(self) -> tuple[int | None, bool, bool]:
+        """Read a header block: (Content-Length, chunked, Connection: close)."""
+        length, chunked, close = None, False, False
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line("header line")
+            if not line:
+                if chunked and length is not None:
+                    raise HTTPException("both Content-Length and chunked framing")
+                return length, chunked, close
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise HTTPException(f"bad header line {line[:80]!r}")
+            name, value = name.lower(), value.strip()
+            if name == b"content-length":
+                if length is not None or not _CONTENT_LENGTH.fullmatch(value):
+                    raise HTTPException(f"bad Content-Length {value[:80]!r}")
+                length = int(value)
+            elif name == b"transfer-encoding":
+                if chunked or value.lower() != b"chunked":
+                    raise HTTPException(f"unsupported Transfer-Encoding {value[:80]!r}")
+                chunked = True
+            elif name == b"connection":
+                close = close or b"close" in [token.strip() for token in value.lower().split(b",")]
+        raise HTTPException(f"more than {_MAX_HEADERS} headers")
+
+    def _chunked(self) -> bytes:
+        parts = []
+        while True:
+            size = self._line("chunk size line").partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise HTTPException(f"bad chunk size {size[:80]!r}")
+            n = int(size, 16)
+            if not n:
+                break
+            parts.append(self._read(n))
+            if self._line("chunk end"):
+                raise HTTPException("chunk longer than its size")
+        self._headers()  # the trailer section, read and ignored
+        return b"".join(parts)
+
+    def _line(self, what: str) -> bytes:
+        """The next line, without its CRLF or LF."""
+        end = self.buf.find(b"\n", self.pos)
+        while end < 0:
+            scanned = len(self.buf) - self.pos
+            if scanned >= _MAX_LINE:
+                raise HTTPException(f"{what} over {_MAX_LINE} bytes")
+            self._fill()
+            end = self.buf.find(b"\n", scanned)
+        start, self.pos = self.pos, end + 1
+        if end + 1 - start > _MAX_LINE:
+            raise HTTPException(f"{what} over {_MAX_LINE} bytes")
+        if end > start and self.buf[end - 1] == 13:  # CR
+            end -= 1
+        return self.buf[start:end]
+
+    def _fill(self) -> None:
+        data = self.sock.recv(_RECV_BYTES)
+        if not data:
+            raise HTTPException("connection closed before the response was complete")
+        self.buf = self.buf[self.pos :] + data
+        self.pos = 0
+
+    def _read(self, n: int) -> bytes:
+        """The next n bytes, received as they arrive (a length is never
+        allocated up front)."""
+        start, end = self.pos, self.pos + n
+        if end <= len(self.buf):
+            self.pos = end
+            return self.buf[start:end]
+        parts = [self.buf[start:]]
+        missing = end - len(self.buf)
+        self.buf, self.pos = b"", 0
+        while missing:
+            data = self.sock.recv(min(missing, _RECV_BYTES))
+            if not data:
+                raise HTTPException("connection closed before the response was complete")
+            parts.append(data)
+            missing -= len(data)
+        return b"".join(parts)
+
+    def _read_to_eof(self) -> bytes:
+        parts = [self.buf[self.pos :]]
+        self.buf, self.pos = b"", 0
+        while data := self.sock.recv(_RECV_BYTES):
+            parts.append(data)
+        return b"".join(parts)
 
 
 def _readable(sock) -> bool:

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -99,6 +100,18 @@ def _build_backend(config: RunConfig):
     )
 
 
+@contextmanager
+def _backend(config: RunConfig):
+    """The configured backend; a remote one's connections are closed when the
+    command ends."""
+    backend = _build_backend(config)
+    try:
+        yield backend
+    finally:
+        if isinstance(backend, RemoteBackend):
+            backend.close()
+
+
 def _build_workload(config: RunConfig, n_queries=None):
     n = n_queries if n_queries is not None else config.workload.n_queries
     quota = config.workload.quota
@@ -165,12 +178,12 @@ def _now() -> str:
 
 
 def cmd_run(config: RunConfig, args) -> tuple[dict, str]:
-    backend = _build_backend(config)
-    workload = _build_workload(config)
-    if config.bypass:
-        outcomes, stats = serve_batch(workload, config.gate, config.schedule, backend)
-    else:
-        outcomes, stats = serve_batch_baseline(workload, config.schedule, backend)
+    with _backend(config) as backend:
+        workload = _build_workload(config)
+        if config.bypass:
+            outcomes, stats = serve_batch(workload, config.gate, config.schedule, backend)
+        else:
+            outcomes, stats = serve_batch_baseline(workload, config.schedule, backend)
     if all(o.error for o in outcomes):
         raise BackendUnavailable(f"every query failed; first error: {outcomes[0].error}")
     files = {
@@ -244,10 +257,10 @@ def _by_label(samples):
 
 
 def cmd_calibrate(config: RunConfig, args) -> tuple[dict, str]:
-    backend = _build_backend(config)
-    (collection,), (points,), fallback_accuracy, costs = _offline_sweep(
-        "calibrate", config, backend, [config.gate], config.calibration.taus
-    )
+    with _backend(config) as backend:
+        (collection,), (points,), fallback_accuracy, costs = _offline_sweep(
+            "calibrate", config, backend, [config.gate], config.calibration.taus
+        )
     choice = cal.choose_threshold(points, fallback_accuracy)
     samples = collection.samples
     correct_scores, incorrect_scores = _by_label(samples)
@@ -351,7 +364,8 @@ _ABLATE_AXES = {
 
 def cmd_ablate(config: RunConfig, args) -> tuple[dict, str]:
     build_rows, header, unit = _ABLATE_AXES[args.axis]
-    rows = build_rows(config, _build_backend(config))
+    with _backend(config) as backend:
+        rows = build_rows(config, backend)
     name = f"ablate_{args.axis}.csv"
     return {name: (header, rows)}, f"ablate {args.axis}: {len(rows)} {unit} -> {Path(args.out) / name}"
 

@@ -6,7 +6,8 @@ and gated in parallel waves, and the residual set (gate-rejected plus
 tool-required) drains through a small pool of agentic workers. The phases
 themselves are defined in pipeline; this module holds the stage runner,
 the schedules and the batch statistics. One runner serves both clocks.
-Measured mode runs each stage on a real thread pool and reports wall-clock
+Measured mode runs each stage on real threads, the calling thread among
+them, each taking the next query as it comes free, and reports wall-clock
 stage times. Simulated mode runs each stage's calls in turn and, as the
 stage returns, schedules the costs they reported on a virtual clock, so
 results are hardware independent; its bypass-off baseline reuses the
@@ -16,8 +17,8 @@ loop again only for the accepted ones.
 
 import heapq
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Annotated
@@ -177,11 +178,11 @@ def _build_stats(outcomes, stage_s, baseline_s) -> FunnelStats:
 def _clock(schedule: ScheduleConfig):
     """The schedule's stage runner and the stage times it fills in.
 
-    Measured mode runs a stage on a thread pool sized for the front end or
-    the agentic drain and times it. Simulated mode runs it in turn on the
-    calling thread and schedules the costs its calls reported over the same
-    worker count: in waves for the front end, on the earliest free worker
-    for the drain.
+    Measured mode runs a stage on as many threads as the front end or the
+    agentic drain has workers, at most one per call, and times it; see
+    _run_threaded. Simulated mode runs it in turn on the calling thread and
+    schedules the costs its calls reported over the same worker count: in
+    waves for the front end, on the earliest free worker for the drain.
     """
     stage_s = {"judge": 0.0, "speculate": 0.0, "agentic": 0.0}
 
@@ -191,8 +192,7 @@ def _clock(schedule: ScheduleConfig):
         workers = schedule.agentic_workers if stage == "agentic" else schedule.frontend_workers
         if schedule.mode is ScheduleMode.MEASURED:
             start = time.perf_counter()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(fn, items))
+            results = _run_threaded(fn, items, workers)
             stage_s[stage] = time.perf_counter() - start
         else:
             results = [fn(item) for item in items]
@@ -201,6 +201,40 @@ def _clock(schedule: ScheduleConfig):
         return results
 
     return run_stage, stage_s
+
+
+def _run_threaded(fn, items, workers: int) -> list:
+    """fn over items on min(workers, len(items)) threads; results in input order.
+
+    The calling thread is one of the workers, so with one worker nothing is
+    started. Each worker takes the next index from one shared iterator as
+    it comes free, the earliest-free-worker order, and stores its result at
+    that index. Once a call raises no new call starts; when every thread
+    has ended, the exception of the earliest failing item is raised.
+    """
+    results = [None] * len(items)
+    indices = iter(range(len(items)))  # a C iterator: next() is atomic under the GIL
+    failures = []
+
+    def work():
+        for index in indices:
+            if failures:
+                return
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # re-raised on the calling thread below
+                failures.append((index, exc))
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def serve_batch(

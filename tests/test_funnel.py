@@ -2,7 +2,9 @@
 scheduling, analytic speedup, and scheduler transparency."""
 
 import math
+import sys
 import threading
+import time
 import zlib
 from collections import Counter
 from dataclasses import replace
@@ -23,6 +25,7 @@ from spec_funnel.funnel import (
     FunnelStats,
     ScheduleConfig,
     ScheduleMode,
+    _clock,
     _list_schedule_makespan,
     _wave_makespan,
     serve_batch,
@@ -469,3 +472,162 @@ class TestSimulatedMakespansMatchOracle:
         assert stats.fallback_makespan_s == max(residual)
         assert baseline.fallback_makespan_s == max(o.latency.agentic_s for o in baseline_outcomes)
         assert stats.baseline_makespan_s == baseline.fallback_makespan_s
+
+
+class RecordingBackend:
+    """SyntheticBackend wrapper recording the thread of each call and the most
+    calls in flight at once.
+
+    The first `together` calls wait for one another at a barrier, so that
+    many threads are inside a call at the same moment. `delay_s` maps a query
+    id to the seconds its call sleeps first; a query id in `fail` then raises
+    RuntimeError(query id).
+    """
+
+    def __init__(self, inner, together=1, delay_s=None, fail=()):
+        self.inner = inner
+        self.delay_s = delay_s or {}
+        self.fail = set(fail)
+        self.calls = []  # (phase, query id, thread), in the order calls started
+        self.returned = []  # query ids, in the order calls returned
+        self.in_flight = self.peak = 0
+        self._barrier = threading.Barrier(together, timeout=10)
+        self._lock = threading.Lock()
+
+    def _call(self, phase, method, query):
+        with self._lock:
+            self.calls.append((phase, query.id, threading.current_thread()))
+            first = len(self.calls) <= self._barrier.parties
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if first:
+                self._barrier.wait()
+            time.sleep(self.delay_s.get(query.id, 0.0))
+            if query.id in self.fail:
+                raise RuntimeError(query.id)
+            result = getattr(self.inner, method)(query)
+            self.returned.append(query.id)
+            return result
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def judge(self, query):
+        return self._call("judge", "judge", query)
+
+    def speculate(self, query):
+        return self._call("speculate", "speculate", query)
+
+    def agentic_run(self, query):
+        return self._call("agentic", "agentic_run", query)
+
+
+def _measured(frontend_workers=4, agentic_workers=1):
+    return ScheduleConfig(frontend_workers, agentic_workers, ScheduleMode.MEASURED)
+
+
+class TestMeasuredStageRunner:
+    def test_results_come_back_in_input_order(self, synthetic_config):
+        queries = make_workload(synthetic_config, 40)
+        inner = SyntheticBackend(synthetic_config)
+        # later queries finish first, so completion order is not input order
+        delay_s = {q.id: 0.002 * (len(queries) - i) for i, q in enumerate(queries)}
+        backend = RecordingBackend(inner, together=4, delay_s=delay_s)
+        run_stage, stage_s = _clock(_measured(frontend_workers=4))
+        assert run_stage("judge", backend.judge, queries) == [inner.judge(q) for q in queries]
+        assert stage_s["judge"] > 0.0
+        assert backend.returned != [q.id for q in queries]  # calls returned out of order
+
+    @pytest.mark.parametrize("workers, n", [(4, 10), (4, 3), (3, 1), (2, 2), (1, 5)])
+    def test_min_of_workers_and_calls_threads_caller_included(self, synthetic_config, workers, n):
+        queries = make_workload(synthetic_config, n)
+        backend = RecordingBackend(SyntheticBackend(synthetic_config), together=min(workers, n))
+        run_stage, _ = _clock(_measured(frontend_workers=workers))
+        before = set(threading.enumerate())
+        run_stage("judge", backend.judge, queries)
+        threads = {thread for _, _, thread in backend.calls}
+        assert len(backend.calls) == n
+        assert len(threads) == min(workers, n)
+        assert threading.current_thread() in threads
+        assert backend.peak == min(workers, n) <= workers
+        assert not any(thread.is_alive() for thread in threads - {threading.current_thread()})
+        assert set(threading.enumerate()) == before
+
+    def test_each_item_runs_once_under_fast_thread_switching(self):
+        items = list(range(5000))
+        calls = []
+
+        def fn(item):
+            calls.append(item)  # list.append is atomic, so no call goes unrecorded
+            return item * item
+
+        run_stage, _ = _clock(_measured(frontend_workers=8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_stage("judge", fn, items)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [item * item for item in items]
+        assert sorted(calls) == items
+
+    def test_no_more_than_workers_calls_in_flight(self, synthetic_config, gate_config):
+        queries = make_workload(synthetic_config, 60)
+        delay_s = {q.id: 0.001 for q in queries}
+        backend = RecordingBackend(SyntheticBackend(synthetic_config), together=3, delay_s=delay_s)
+        outcomes, _ = serve_batch(queries, gate_config, _measured(frontend_workers=3, agentic_workers=2), backend)
+        assert backend.peak == 3
+        assert outcomes == serve_batch(queries, gate_config, ScheduleConfig(), SyntheticBackend(synthetic_config))[0]
+
+    def test_earliest_failing_items_error_propagates(self, synthetic_config, gate_config):
+        queries = make_workload(synthetic_config, 200)
+        # items 1 and 2 are both called; item 2 raises first, item 1 after it
+        first, second = queries[1].id, queries[2].id
+        backend = RecordingBackend(
+            SyntheticBackend(synthetic_config), together=4, delay_s={first: 0.2}, fail={first, second}
+        )
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as raised:
+            serve_batch(queries, gate_config, _measured(frontend_workers=4), backend)
+        assert raised.value.args == (first,)
+        assert {phase for phase, _, _ in backend.calls} == {"judge"}
+        assert len(backend.calls) < len(queries)  # the stage stopped starting calls
+        assert set(threading.enumerate()) == before
+
+    def test_no_call_starts_after_a_failure(self, synthetic_config):
+        queries = make_workload(synthetic_config, 10)
+        backend = RecordingBackend(
+            SyntheticBackend(synthetic_config), together=2, delay_s={queries[1].id: 0.2}, fail={queries[0].id}
+        )
+        run_stage, _ = _clock(_measured(frontend_workers=2))
+        with pytest.raises(RuntimeError):
+            run_stage("judge", backend.judge, queries)
+        # item 1's call outlasts item 0's failure, and its thread stops after it
+        assert [qid for _, qid, _ in backend.calls] in ([q.id for q in queries[:2]], [q.id for q in queries[1::-1]])
+
+    def test_one_worker_runs_on_the_caller_in_input_order(self, synthetic_config):
+        queries = make_workload(synthetic_config, 8)
+        backend = RecordingBackend(SyntheticBackend(synthetic_config), fail={queries[5].id})
+        run_stage, _ = _clock(_measured(agentic_workers=1))
+        with pytest.raises(RuntimeError):
+            run_stage("agentic", backend.agentic_run, queries)
+        assert [qid for _, qid, _ in backend.calls] == [q.id for q in queries[:6]]
+
+    def test_single_agentic_worker_drains_on_the_calling_thread(self, synthetic_config, gate_config):
+        queries = make_workload(synthetic_config, 40)
+        counts = []
+
+        class CountingThreads(RecordingBackend):
+            def agentic_run(self, query):
+                counts.append(threading.active_count())
+                return super().agentic_run(query)
+
+        backend = CountingThreads(SyntheticBackend(synthetic_config))
+        active = threading.active_count()
+        _, stats = serve_batch(queries, gate_config, _measured(frontend_workers=4, agentic_workers=1), backend)
+        drained = [thread for phase, _, thread in backend.calls if phase == "agentic"]
+        assert len(drained) == stats.n_residual > 0
+        assert set(drained) == {threading.current_thread()}
+        assert set(counts) == {active}  # no thread was started for the drain
+        assert len({thread for phase, _, thread in backend.calls if phase == "judge"}) > 1

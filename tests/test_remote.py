@@ -98,6 +98,12 @@ class StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client timed out and hung up before the reply
+
     def log_message(self, *args):
         pass
 
@@ -120,7 +126,9 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
 
     server.fault picks a broken response: "reset" (connection reset
     mid-body), "truncate" (body shorter than its Content-Length) or
-    "bad_status" (malformed status line). server.idle_timeout_s closes a
+    "bad_status" (malformed status line). A callable fault builds the reply
+    itself: fault(payload) returns the raw bytes to send and whether the
+    server then closes the connection. server.idle_timeout_s closes a
     connection that stays idle that long.
     """
 
@@ -144,6 +152,10 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
             self.server.posts.append((self.path, self.client_address[1], request["id"]))
         payload = json.dumps({"g": 0, "latency_s": 0.05}).encode()
         fault = self.server.fault
+        if callable(fault):
+            reply, self.close_connection = fault(payload)
+            self.wfile.write(reply)
+            return
         if fault == "bad_status":
             self.wfile.write(b"not a status line\r\n\r\n")
             self.close_connection = True
@@ -162,6 +174,12 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
         if fault == "truncate":
             self.close_connection = True
+
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client dropped a reply it could not read, unread bytes and all
 
     def log_message(self, *args):
         pass
@@ -397,6 +415,133 @@ class TestKeptAliveTransport:
             RemoteBackend(url)
 
 
+def _reply(*head: bytes, status=b"HTTP/1.1 200 OK", body=None, then=b"", close=False):
+    """A callable KeepAliveHandler fault: `status`, the `head` lines, a blank
+    line, then `body` (the judge payload when None) and `then`."""
+
+    def build(payload):
+        data = body if body is not None else payload
+        lines = b"".join(line + b"\r\n" for line in (status, *head))
+        return lines + b"\r\n" + data + then, close
+
+    return build
+
+
+def _length(payload):
+    return b"Content-Length: %d" % len(payload)
+
+
+def _chunked(payload):
+    return b"%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n" % (
+        3, payload[:3], len(payload) - 3, payload[3:]
+    )
+
+
+PAYLOAD = json.dumps({"g": 0, "latency_s": 0.05}).encode()
+# a status line or header line exactly 64 KiB long with its CRLF, and one byte more
+STATUS_64K = b"HTTP/1.1 200 " + b"x" * (65536 - len(b"HTTP/1.1 200 \r\n"))
+HEADER_64K = b"X-Pad: " + b"x" * (65536 - len(b"X-Pad: \r\n"))
+
+# name -> (reply, connections the server saw after two calls)
+READABLE_REPLIES = {
+    "chunked": (_reply(b"Transfer-Encoding: chunked", body=_chunked(PAYLOAD)), 1),
+    "chunked_mixed_case": (_reply(b"transfer-encoding: Chunked", body=_chunked(PAYLOAD)), 1),
+    "close_delimited": (_reply(b"Content-Type: application/json", close=True), 2),
+    "continue_skipped": (_reply(_length(PAYLOAD), status=b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK"), 1),
+    "early_hints_skipped": (
+        _reply(_length(PAYLOAD), status=b"HTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\nHTTP/1.1 200 OK"), 1
+    ),
+    "http10": (_reply(_length(PAYLOAD), status=b"HTTP/1.0 200 OK"), 2),
+    "http10_close_delimited": (_reply(status=b"HTTP/1.0 200 OK", close=True), 2),
+    "connection_close": (_reply(_length(PAYLOAD), b"Connection: keep-alive, Close"), 2),
+    "lf_line_endings": (lambda payload: (b"HTTP/1.1 200 OK\n%s\n\n%s" % (_length(payload), payload), False), 1),
+    "no_reason_phrase": (_reply(_length(PAYLOAD), status=b"HTTP/1.1 200"), 1),
+    "status_line_64k": (_reply(_length(PAYLOAD), status=STATUS_64K), 1),
+    "header_line_64k": (_reply(_length(PAYLOAD), HEADER_64K), 1),
+    "100_headers": (_reply(_length(PAYLOAD), *[b"X-%d: v" % i for i in range(99)]), 1),
+    "extra_bytes_after_response": (_reply(_length(PAYLOAD), then=b"HTTP/1.1 200 OK\r\n"), 2),
+}
+
+UNREADABLE_REPLIES = {
+    "status_line_over_64k": _reply(_length(PAYLOAD), status=STATUS_64K + b"x"),
+    "header_line_over_64k": _reply(_length(PAYLOAD), HEADER_64K + b"x"),
+    "101_headers": _reply(_length(PAYLOAD), *[b"X-%d: v" % i for i in range(100)]),
+    "endless_status_line": _reply(status=b"HTTP/1.1 200 " + b"x" * 200_000, close=True),
+    **{
+        f"content_length_{name}": _reply(b"Content-Length: " + value)
+        for name, value in [("word", b"abc"), ("negative", b"-1"), ("plus", b"+5"), ("hex", b"0x10"),
+                            ("float", b"1e3"), ("empty", b""), ("two_numbers", b"1 2"), ("huge", b"9" * 5000)]
+    },
+    "two_content_lengths": _reply(_length(PAYLOAD), _length(PAYLOAD)),
+    "length_and_chunked": _reply(_length(PAYLOAD), b"Transfer-Encoding: chunked", body=_chunked(PAYLOAD)),
+    "gzip_encoding": _reply(b"Transfer-Encoding: gzip", close=True),
+    "bad_chunk_size": _reply(b"Transfer-Encoding: chunked", body=b"zz\r\n" + PAYLOAD + b"\r\n0\r\n\r\n"),
+    "chunk_longer_than_its_size": _reply(b"Transfer-Encoding: chunked", body=b"3\r\n" + PAYLOAD + b"\r\n0\r\n\r\n"),
+    "chunked_cut_short": _reply(b"Transfer-Encoding: chunked", body=b"%x\r\n" % len(PAYLOAD) + PAYLOAD, close=True),
+    "body_cut_short": _reply(b"Content-Length: %d" % (len(PAYLOAD) + 1), close=True),
+    "header_without_colon": _reply(_length(PAYLOAD), b"not a header"),
+    "two_digit_status": _reply(_length(PAYLOAD), status=b"HTTP/1.1 20 OK"),
+    "status_below_100": _reply(_length(PAYLOAD), status=b"HTTP/1.1 099 OK"),
+    "http2_status": _reply(_length(PAYLOAD), status=b"HTTP/2 200 OK"),
+    "no_response": lambda payload: (b"", True),
+}
+
+
+class TestResponseReader:
+    """The adapter's own HTTP/1.1 response reader, against raw replies."""
+
+    @pytest.mark.parametrize("name", READABLE_REPLIES)
+    def test_reply_is_read_and_the_connection_kept_or_replaced(self, keepalive_server, make_backend, name):
+        reply, connections = READABLE_REPLIES[name]
+        keepalive_server.fault = reply
+        backend = make_backend(keepalive_server.url)
+        assert backend.judge(QUERY) == parse_judge_response(json.loads(PAYLOAD))
+        assert backend.judge(Query(id="q2")).g == 0
+        assert [qid for _, _, qid in keepalive_server.posts] == ["q1", "q2"]
+        assert keepalive_server.connections == connections
+
+    @pytest.mark.parametrize("name", UNREADABLE_REPLIES)
+    def test_framing_fault_is_unavailable_and_not_resent(self, keepalive_server, make_backend, name):
+        keepalive_server.fault = UNREADABLE_REPLIES[name]
+        backend = make_backend(keepalive_server.url, timeout_s=5)
+        with pytest.raises(BackendUnavailable):
+            backend.judge(QUERY)
+        assert [qid for _, _, qid in keepalive_server.posts] == ["q1"]
+        keepalive_server.fault = None
+        assert backend.judge(Query(id="q2")).g == 0  # on a new connection
+        assert [qid for _, _, qid in keepalive_server.posts] == ["q1", "q2"]
+        assert keepalive_server.connections == 2
+
+    def test_endless_line_fails_without_waiting_for_its_end(self, keepalive_server, make_backend):
+        # no line ending and the connection held open: only the line limit ends the read
+        keepalive_server.fault = lambda payload: (b"HTTP/1.1 200 " + b"x" * 200_000, False)
+        backend = make_backend(keepalive_server.url, timeout_s=30)
+        started = time.monotonic()
+        with pytest.raises(BackendUnavailable, match="over 65536 bytes"):
+            backend.judge(QUERY)
+        assert time.monotonic() - started < 10
+        assert [qid for _, _, qid in keepalive_server.posts] == ["q1"]
+
+    def test_http_error_body_is_read_and_the_connection_kept(self, keepalive_server, make_backend):
+        keepalive_server.fault = _reply(b"Content-Length: 5", status=b"HTTP/1.1 503 Busy", body=b"later")
+        backend = make_backend(keepalive_server.url)
+        with pytest.raises(BackendUnavailable, match="HTTP 503"):
+            backend.judge(QUERY)
+        keepalive_server.fault = None
+        assert backend.judge(Query(id="q2")).g == 0
+        assert [qid for _, _, qid in keepalive_server.posts] == ["q1", "q2"]
+        assert keepalive_server.connections == 1
+
+    def test_body_arriving_in_pieces_is_joined(self, keepalive_server, make_backend):
+        # a body larger than one receive, so it is read across several
+        large = json.dumps({"g": 0, "latency_s": 0.05, "pad": "x" * 300_000}).encode()
+        keepalive_server.fault = _reply(_length(large), body=large)
+        backend = make_backend(keepalive_server.url)
+        assert backend.judge(QUERY).g == 0
+        assert backend.judge(Query(id="q2")).g == 0
+        assert keepalive_server.connections == 1
+
+
 class TestSettingsRejectedUpFront:
     @pytest.mark.parametrize(
         "kwargs",
@@ -573,6 +718,15 @@ class TestParserEdgeCases:
         parse = parse_judge_response if route == "judge" else lambda b: parse_agentic_response(b, 5)
         with pytest.raises(BackendUnavailable):
             parse(body)
+
+    @pytest.mark.parametrize("answer", [None, ["x"], 7, 1.5, True, {"text": "A"}])
+    def test_non_string_answer_unavailable(self, answer):
+        # str() would make null the answer "None" and ["x"] the answer "['x']"
+        with pytest.raises(BackendUnavailable, match="answer must be a string"):
+            parse_speculate_response({**speculate_body(), "answer": answer}, 8)
+        body = {"answer": answer, "depth": 0, "step_costs": [[0.5, 0.0]]}
+        with pytest.raises(BackendUnavailable, match="answer must be a string"):
+            parse_agentic_response(body, 5)
 
     def test_integral_float_flag_and_depth_accepted(self):
         assert parse_judge_response({"g": 1.0, "latency_s": 0.05}).g == 1

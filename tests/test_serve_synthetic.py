@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spec_funnel import cli
 from spec_funnel.backends.base import Query, SpeculativeAnswer
 from spec_funnel.backends.remote import RemoteBackend
 from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, make_workload
@@ -362,6 +363,26 @@ def test_signed_zero_logprobs_keep_their_text():
     for top in (0.0, -0.0, 0.0):
         draft = SpeculativeAnswer("B", AnswerLogits(np.array([[top, -1.0]]), np.array([2])), 0.5)
         assert script.speculate_json(draft, 64, memo) == json.dumps(_dict_body(draft, 64))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--set", "schedule.mode=measured"], ["run"], ["calibrate"], ["ablate", "--axis", "threshold"]],
+    ids=["run_measured", "run_simulated", "calibrate", "ablate"],
+)
+def test_command_closes_every_connection_it_opened(served, tmp_path, monkeypatch, command):
+    built = []  # keeps each backend alive, so no connection is closed by freeing it
+    build = cli._build_backend
+    monkeypatch.setattr(cli, "_build_backend", lambda config: built.append(build(config)) or built[-1])
+    argv = [*command, "--out", str(tmp_path / "out"), "--endpoint", served.url, "--set", "workload.n_queries=20"]
+    assert main(argv) == 0
+    assert len(built) == 1
+    deadline = time.monotonic() + 10
+    while len(served.finished) < served.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert served.connections >= 1
+    assert len(served.finished) == served.connections
+    assert served.errors == []
 
 
 def test_script_serves_a_measured_run_as_the_benchmark_starts_it(tmp_path):
