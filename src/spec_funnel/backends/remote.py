@@ -467,16 +467,22 @@ def _readable(sock) -> bool:
 
 
 def iter_exchanges(path):
-    """Yield logged exchanges from a line-delimited JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValidationError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
+    """Yield logged exchanges, one JSON object a line, from a file; an
+    unreadable file or line is a ValidationError naming the path and line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    entry = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise ValidationError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
+                if not isinstance(entry, dict):
+                    raise ValidationError(f"{path}:{line_no}: not a JSON object")
+                yield entry
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"unreadable exchange log {path}: {exc}") from exc
 
 
 def replay_speculations(path, top_logprobs: int = 64) -> dict[str, SpeculativeAnswer]:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends.base import Backend, Query
-from .errors import BackendUnavailable, DegenerateDistribution, InfiniteSpeedup, ValidationError
+from .errors import DegenerateDistribution, InfiniteSpeedup, ValidationError
 from .funnel import speedup_model
 from .gate import GateConfig, Scoring, gate
-from .pipeline import answers_match, expected_latency
+from .pipeline import _draft, _judge, answers_match, expected_latency
 
 __all__ = [
     "ScoreSample",
@@ -54,12 +54,11 @@ class ScoreSample:
 
 @dataclass(frozen=True)
 class ScoreCollection:
-    """Gate samples for the tool-free pool, plus screening bookkeeping.
-
-    n_failed counts tool-free queries whose draft call failed; they carry no
-    sample and, like a draft the gate rejects, bypass nothing.
-    n_judge_failed counts failed judge calls; those queries stay inside
-    n_tool_required, since a failed judge falls back in `run` too.
+    """Gate samples for the tool-free pool, plus screening bookkeeping read
+    from pipeline's phase results: n_tool_required counts every query not
+    judged tool-free, failed judge calls (n_judge_failed) included, as `run`
+    falls back on them too; n_failed counts tool-free queries whose draft
+    call failed, which carry no sample. Mean costs are over successful calls.
     """
 
     samples: tuple[ScoreSample, ...]
@@ -128,11 +127,10 @@ def collect_score_sets(
     """Score every tool-free query under each gate config, one collection per
     config, with one judge and one draft call per query.
 
-    Queries the judge screens as tool-required are excluded from the sample
-    lists and counted separately, as is a failed judge call (also counted in
-    n_judge_failed); a failed draft call is skipped and counted in n_failed.
-    Each draft is scored as it arrives and its logits are not kept. All
-    queries must carry ground truth.
+    The calls are pipeline's Phase I and Phase II/III functions, so a failed
+    call degrades as in `run`, and the counts and mean costs are read from
+    their results. Each draft is scored under every config as it arrives and
+    its logits are not kept. All queries must carry ground truth.
     """
     gate_configs = tuple(gate_configs)
     if not queries:
@@ -141,46 +139,32 @@ def collect_score_sets(
         raise ValidationError("need at least one gate config")
     if any(q.ground_truth is None for q in queries):
         raise ValidationError("calibration queries must carry ground truth")
+    verdicts = [_judge(backend, query) for query in queries]
+    toolfree = [query for query, (g, _) in zip(queries, verdicts) if g == 0]
     samples = [[] for _ in gate_configs]
     token_scores = [[] for _ in gate_configs]
-    judge_latencies = []
-    speculate_latencies = []
-    n_tool_required = 0
-    n_failed = 0
-    n_judge_failed = 0
-    for query in queries:
-        try:
-            judged = backend.judge(query)
-        except BackendUnavailable:
-            n_tool_required += 1
-            n_judge_failed += 1
+    speculate_costs = []
+    for query in toolfree:
+        answer, decisions, cost = _draft(backend, query, lambda logits: [gate(logits, c) for c in gate_configs])
+        if decisions is None:
             continue
-        judge_latencies.append(judged.latency_s)
-        if judged.g == 1:
-            n_tool_required += 1
-            continue
-        try:
-            draft = backend.speculate(query)
-        except BackendUnavailable:
-            n_failed += 1
-            continue
-        speculate_latencies.append(draft.latency_s)
-        correct = answers_match(draft.answer, query.ground_truth)
-        for config, kept, traces in zip(gate_configs, samples, token_scores):
-            decision = gate(draft.token_logits, config)
+        speculate_costs.append(cost)
+        correct = answers_match(answer, query.ground_truth)
+        for config, decision, kept, traces in zip(gate_configs, decisions, samples, token_scores):
             kept.append(ScoreSample(query.id, decision.score, correct, config.aggregation))
             traces.append(decision.token_scores)
-    mean_judge_s = float(np.mean(judge_latencies)) if judge_latencies else 0.0
-    mean_speculate_s = float(np.mean(speculate_latencies)) if speculate_latencies else 0.0
+    judge_costs = [cost for g, cost in verdicts if g is not None]
+    mean_judge_s = float(np.mean(judge_costs)) if judge_costs else 0.0
+    mean_speculate_s = float(np.mean(speculate_costs)) if speculate_costs else 0.0
     return tuple(
         ScoreCollection(
             samples=tuple(kept),
-            n_tool_required=n_tool_required,
+            n_tool_required=len(queries) - len(toolfree),
             mean_judge_s=mean_judge_s,
             mean_speculate_s=mean_speculate_s,
             token_scores=tuple(traces),
-            n_failed=n_failed,
-            n_judge_failed=n_judge_failed,
+            n_failed=len(toolfree) - len(speculate_costs),
+            n_judge_failed=len(queries) - len(judge_costs),
         )
         for kept, traces in zip(samples, token_scores)
     )

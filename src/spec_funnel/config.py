@@ -170,6 +170,8 @@ def load_config(
             raise ConfigError(f"config file not found: {path}") from exc
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # a directory, unreadable, not UTF-8
+            raise ConfigError(f"unreadable config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
     for assignment in overrides:

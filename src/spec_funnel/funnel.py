@@ -28,7 +28,7 @@ from .bounds import Range, check_bounds
 from .errors import InfiniteSpeedup, ValidationError
 from .gate import GateConfig
 # process_query stays importable here: perfbench/tracing.py wraps funnel.process_query by name
-from .pipeline import QueryOutcome, QueryPath, process_query, run_phases  # noqa: F401
+from .pipeline import QueryOutcome, QueryPath, _fallback, process_query, run_phases  # noqa: F401
 
 __all__ = [
     "ScheduleMode",
@@ -285,15 +285,14 @@ def _baseline_s(queries, outcomes, schedule: ScheduleConfig, backend: Backend) -
     """serve_batch_baseline's makespan, reusing the funnel run's agentic costs.
 
     Every query the funnel did not accept already ran the agentic loop, so
-    only the accepted ones run it again. The durations are scheduled in
-    input order, as serve_batch_baseline schedules them, so the makespan is
-    bit-identical. A residual query whose agentic loop failed counts 0.0,
-    as a failed loop does in serve_batch_baseline, and is not retried.
+    only the accepted ones run it again, through pipeline's Phase IV, whose
+    cost is read. The durations are scheduled in input order, as
+    serve_batch_baseline schedules them, so the makespan is bit-identical. A
+    failed loop, here or in the funnel run, counts 0.0, as it does in
+    serve_batch_baseline, and is not retried.
     """
-    accepted = [q for q, o in zip(queries, outcomes) if o.path is QueryPath.SPECULATION_ACCEPTED]
-    rerun = iter(run_phases(accepted, None, backend, bypass=False))
     durations = [
-        (next(rerun) if o.path is QueryPath.SPECULATION_ACCEPTED else o).latency.agentic_s
-        for o in outcomes
+        _fallback(backend, q)[-1] if o.path is QueryPath.SPECULATION_ACCEPTED else o.latency.agentic_s
+        for q, o in zip(queries, outcomes)
     ]
     return _list_schedule_makespan(durations, schedule.agentic_workers)

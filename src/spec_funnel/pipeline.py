@@ -1,4 +1,5 @@
-"""The four serving phases, defined once for every clock and schedule.
+"""The four serving phases, defined once for every clock, schedule and
+offline score collection: only the phase functions call a backend route.
 
 Phase I asks the large model whether tools are needed; tool-required
 queries go straight to the agentic loop. Phase II drafts a tool-free
@@ -79,27 +80,26 @@ class QueryOutcome:
                 raise ValidationError("tool-required path never speculates")
 
 
-def _judge(backend: Backend, query: Query) -> tuple[int, float]:
-    """Phase I. A failed judge call conservatively routes to fallback."""
+def _judge(backend: Backend, query: Query) -> tuple[int | None, float]:
+    """Phase I: (g, cost). A failed call gives g = None, routed as g = 1."""
     try:
         output = backend.judge(query)
     except BackendUnavailable:
-        return 1, 0.0
+        return None, 0.0
     return output.g, output.latency_s
 
 
 _NO_DRAFT = ("", None, 0.0)
 
 
-def _draft(
-    backend: Backend, query: Query, config: GateConfig
-) -> tuple[str, GateDecision | None, float]:
-    """Phases II and III. A failed draft leaves the gate decision absent."""
+def _draft(backend: Backend, query: Query, score) -> tuple[str, object, float]:
+    """Phases II and III: (answer, score(token_logits), cost). The caller's
+    score gates the draft; a failed draft gives a None score."""
     try:
         draft = backend.speculate(query)
     except BackendUnavailable:
         return _NO_DRAFT
-    return draft.answer, gate(draft.token_logits, config), draft.latency_s
+    return draft.answer, score(draft.token_logits), draft.latency_s
 
 
 def _fallback(backend: Backend, query: Query) -> tuple[str, str | None, float]:
@@ -116,7 +116,7 @@ def _outcome(query, g, judge_s, draft_answer, decision, speculate_s, fallback) -
     if fallback is None:
         path, answer, agentic_s, error = QueryPath.SPECULATION_ACCEPTED, draft_answer, 0.0, None
     else:
-        path = QueryPath.TOOL_REQUIRED_FALLBACK if g == 1 else QueryPath.SPECULATION_REJECTED_FALLBACK
+        path = QueryPath.TOOL_REQUIRED_FALLBACK if g != 0 else QueryPath.SPECULATION_REJECTED_FALLBACK
         answer, error, agentic_s = fallback
     latency = LatencyBreakdown(judge_s=judge_s, speculate_s=speculate_s, agentic_s=agentic_s)
     return QueryOutcome(
@@ -162,7 +162,9 @@ def run_phases(
         verdicts = [(1, 0.0)] * len(queries)
     toolfree = [i for i, (g, _) in enumerate(verdicts) if g == 0]
     drafted = run_stage(
-        "speculate", lambda q: _draft(backend, q, gate_config), [queries[i] for i in toolfree]
+        "speculate",
+        lambda q: _draft(backend, q, lambda logits: gate(logits, gate_config)),
+        [queries[i] for i in toolfree],
     )
     drafts = dict(zip(toolfree, drafted))
     accepted = {i for i, (_, decision, _) in drafts.items() if decision and decision.accepted}

@@ -419,6 +419,31 @@ class TestMalformedInputs:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: --calibration: ")
 
+    @pytest.mark.parametrize(
+        "make", [Path.mkdir, lambda path: path.write_bytes(b"\xff\xfe{}")], ids=["directory", "not_utf8"]
+    )
+    def test_run_with_unreadable_config(self, tmp_path, capsys, make):
+        path = tmp_path / "config.json"
+        make(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *SMALL]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: unreadable config file {path}")
+
+    def test_run_with_missing_config_keeps_its_message(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *SMALL]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: config file not found: {path}"
+
+    @pytest.mark.parametrize(
+        "content", [b"[]\n", b'"x"\n', b"\xff\xfe{}\n", None], ids=["list_line", "string_line", "not_utf8", "missing"]
+    )
+    def test_replay_with_unusable_log(self, tmp_path, capsys, content):
+        log = tmp_path / "log.jsonl"
+        if content is not None:
+            log.write_bytes(content)
+        assert main(["replay", str(log), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(log) in err
+
 
 def _int_fields(cls=RunConfig, prefix=""):
     """Dotted path of every int field of every config section, read from the

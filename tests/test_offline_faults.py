@@ -1,18 +1,24 @@
 """calibrate and ablate under backend failures: a failed call is left out
-and counted, as `run` degrades, instead of aborting the command."""
+and counted, as `run` degrades, instead of aborting the command; and the
+offline collection and the served batch read the same phase results."""
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spec_funnel import cli
 from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, make_workload
 from spec_funnel.calibration import collect_scores
 from spec_funnel.errors import BackendUnavailable
-from spec_funnel.pipeline import answers_match
+from spec_funnel.funnel import ScheduleConfig, serve_batch
+from spec_funnel.gate import GateConfig
+from spec_funnel.pipeline import QueryPath, answers_match
 
 N_QUERIES = 120
 SEED = 3
+FAULT_QUERIES = 40
 
 
 class FailingBackend:
@@ -128,3 +134,32 @@ def test_calibrate_without_any_agentic_result_is_a_backend_error(tmp_path, monke
 def test_clean_calibrate_prints_no_warning(tmp_path, capsys):
     assert _main("calibrate", out=tmp_path) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    judge_faults=st.sets(st.integers(0, FAULT_QUERIES - 1), max_size=FAULT_QUERIES),
+    speculate_faults=st.sets(st.integers(0, FAULT_QUERIES - 1), max_size=FAULT_QUERIES),
+)
+def test_collect_scores_degrades_as_serve_batch_does(seed, judge_faults, speculate_faults):
+    config = SyntheticConfig(seed=seed)
+    queries = make_workload(config, FAULT_QUERIES)
+    fail = {
+        "judge": {queries[i].id for i in judge_faults},
+        "speculate": {queries[i].id for i in speculate_faults},
+    }
+    gate_config = GateConfig(tau=0.9)
+    collection = collect_scores(queries, gate_config, FailingBackend(SyntheticBackend(config), fail))
+    outcomes, _ = serve_batch(
+        queries, gate_config, ScheduleConfig(), FailingBackend(SyntheticBackend(config), fail)
+    )
+    gated = {o.query_id: o.gate.score for o in outcomes if o.gate is not None}
+    assert [s.query_id for s in collection.samples] == [q.id for q in queries if q.id in gated]
+    assert {s.query_id: s.score for s in collection.samples} == gated
+    paths = [o.path for o in outcomes]
+    assert collection.n_tool_required == paths.count(QueryPath.TOOL_REQUIRED_FALLBACK)
+    assert collection.n_failed == sum(
+        1 for o in outcomes if o.path is QueryPath.SPECULATION_REJECTED_FALLBACK and o.gate is None
+    )
+    assert collection.n_judge_failed == len(fail["judge"])

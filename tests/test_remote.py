@@ -4,6 +4,7 @@ and replay round-trips."""
 
 import json
 import math
+import re
 import socket
 import struct
 import sys
@@ -599,6 +600,25 @@ class TestExchangeLogAndReplay:
         bad.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="deep.jsonl:1"):
             list(iter_exchanges(bad))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda path: None, lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff\xfe{}\n")],
+        ids=["missing", "directory", "not_utf8"],
+    )
+    def test_unreadable_log_rejected(self, tmp_path, make):
+        log = tmp_path / "log.jsonl"
+        make(log)
+        with pytest.raises(ValidationError, match=f"unreadable exchange log {re.escape(str(log))}"):
+            replay_speculations(log)
+
+    @pytest.mark.parametrize("line", ["[]", '"x"', "3", "null"])
+    def test_log_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        entry = {"route": "/judge", "request": {"id": "q1"}, "response": {"g": 0, "latency_s": 0.1}}
+        bad.write_text(json.dumps(entry) + "\n\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="bad.jsonl:3: not a JSON object"):
+            replay_speculations(bad)
 
 
 class TestParserEdgeCases:
