@@ -9,28 +9,20 @@ mode can be exercised end to end without any real model:
     spec-funnel run --endpoint http://127.0.0.1:8723 \
         --set schedule.mode=measured --set workload.n_queries=50
 
-The server reads requests itself and speaks this subset of HTTP/1.1:
-
-- connections are kept alive, so each client worker thread holds one
-  connection for a whole stage; after an HTTP/1.0 request or one with
-  `Connection: close`, the connection is closed after the reply;
-- a request body is framed by Content-Length only (no Content-Length means
-  an empty body), and no other header but Connection and Transfer-Encoding
-  is read;
-- each reply is one write of status line, Content-Type, Content-Length and
-  body.
-
-A request gets one of these replies:
+The server reads requests itself and keeps connections alive, so each
+client worker thread holds one connection for a whole stage. It reads each
+header block by the rule in spec_funnel.backends.http11 and closes the
+connection after an HTTP/1.0 request or one with Connection: close. It
+sends each reply in one write of status line, Content-Type, Content-Length
+and body:
 
 - 200 with the route's JSON result;
 - 400 for a body that is not a JSON object or does not make a query (its
   top_logprobs, 64 if absent, must be an integer >= 1), 404 for an unknown
   route and 501 for a method other than POST, each keeping the connection;
-- 400 and close for a malformed request line (or one over 64 KiB), a
-  malformed header line, or a Content-Length that is not one non-negative
-  integer; 413 and close for a body over 1 MiB; 431 and close for a header
-  line over 64 KiB or more than 100 headers; 501 and close for any
-  Transfer-Encoding.
+- a framing fault's status, then close: 400 for a malformed request line,
+  the status http11 names for a header block it refuses, 501 for a chunked
+  body and 413 for a body over 1 MiB.
 
 A client that disconnects mid-request is dropped without a reply.
 """
@@ -43,23 +35,14 @@ from http import HTTPStatus
 from http.server import ThreadingHTTPServer
 
 from spec_funnel.backends.base import Query, integral
+from spec_funnel.backends.http11 import MAX_LINE, FramingError, framing
 from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig
 from spec_funnel.errors import ValidationError
 
-MAX_LINE = 65536  # bytes in the request line or in one header line
-MAX_HEADERS = 100
 MAX_BODY = 1 << 20
 # Logprob texts kept per server. Each row repeats the generator's fixed tail
 # and adds one new top value, so an unbounded memo would grow with every draft.
 LOGPROB_MEMO = 1024
-
-
-class Refused(Exception):
-    """A request whose framing cannot be trusted: reply, then close."""
-
-    def __init__(self, status: HTTPStatus, reason: str):
-        super().__init__(reason)
-        self.status = status
 
 
 def speculate_json(draft, limit: int, number) -> str:
@@ -100,63 +83,39 @@ def make_handler(backend: SyntheticBackend):
         def _serve_one(self) -> bool:
             """Read one request and reply to it; False once the connection is done."""
             try:
-                request = self._read_request()
-            except Refused as refused:
-                self._send(refused.status, json.dumps({"error": str(refused)}), close=True)
+                method, route, body, close = self._read_request()
+            except FramingError as exc:
+                self._send(exc.status, json.dumps({"error": str(exc)}), close=True)
                 return False
-            if request is None:
-                return False
-            method, route, body, close = request
             status, payload = self._respond(method, route, body)
             self._send(status, payload, close)
             return not close
 
-        def _read_line(self, too_long: HTTPStatus):
-            """The next line, or None at the end of the stream."""
+        def _line(self, too_long=HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE) -> bytes:
+            """The next line, without its CRLF or LF."""
             line = self.rfile.readline(MAX_LINE + 1)
             if len(line) > MAX_LINE:
-                raise Refused(too_long, f"line over {MAX_LINE} bytes")
-            return line if line.endswith(b"\n") else None
+                raise FramingError(too_long, f"line over {MAX_LINE} bytes")
+            if not line.endswith(b"\n"):
+                raise ConnectionError("the client closed the connection mid-request")
+            return line.removesuffix(b"\n").removesuffix(b"\r")
 
         def _read_request(self):
-            """(method, route, body, close) of the next request, or None if
-            the client closed the connection before sending all of it."""
-            line = self._read_line(HTTPStatus.BAD_REQUEST)
-            if line is None:
-                return None
-            words = line.split()
+            """(method, route, body, close) of the next request."""
+            words = self._line(HTTPStatus.BAD_REQUEST).split()
             if len(words) != 3 or words[2] not in (b"HTTP/1.1", b"HTTP/1.0"):
-                raise Refused(HTTPStatus.BAD_REQUEST, "malformed request line")
+                raise FramingError(HTTPStatus.BAD_REQUEST, "malformed request line")
             method, route, version = words
-            close, length = version == b"HTTP/1.0", None
-            for count in range(MAX_HEADERS + 1):
-                line = self._read_line(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
-                if line is None:
-                    return None
-                if line in (b"\r\n", b"\n"):
-                    break
-                if count == MAX_HEADERS:
-                    raise Refused(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, f"over {MAX_HEADERS} headers")
-                name, colon, value = line.partition(b":")
-                if not colon:
-                    raise Refused(HTTPStatus.BAD_REQUEST, "malformed header line")
-                name, value = name.strip().lower(), value.strip()
-                if name == b"content-length":
-                    if not value.isdigit() or length not in (None, value):
-                        raise Refused(HTTPStatus.BAD_REQUEST, "bad Content-Length")
-                    length = value
-                elif name == b"transfer-encoding":
-                    raise Refused(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding is not supported")
-                elif name == b"connection":
-                    close = close or b"close" in [token.strip() for token in value.lower().split(b",")]
-            try:
-                size = int(length or 0)
-            except ValueError:  # more digits than int() reads
-                size = MAX_BODY + 1
+            length, chunked, close = framing(self._line)
+            size = length or 0
+            if chunked:
+                raise FramingError(HTTPStatus.NOT_IMPLEMENTED, "chunked request bodies are not supported")
             if size > MAX_BODY:
-                raise Refused(HTTPStatus.REQUEST_ENTITY_TOO_LARGE, f"body over {MAX_BODY} bytes")
+                raise FramingError(HTTPStatus.REQUEST_ENTITY_TOO_LARGE, f"body over {MAX_BODY} bytes")
             body = self.rfile.read(size)
-            return (method, route, body, close) if len(body) == size else None
+            if len(body) < size:
+                raise ConnectionError("the client closed the connection mid-request")
+            return method, route, body, close or version == b"HTTP/1.0"
 
         def _respond(self, method: bytes, route: bytes, data: bytes):
             """(status, JSON text) of the reply to one framed request."""

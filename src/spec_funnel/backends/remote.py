@@ -15,21 +15,19 @@ JSON log for offline replay.
 Transport: one persistent connection per thread, kept while the server
 keeps it alive. http.client's HTTPConnection or HTTPSConnection connects
 (and does TLS); the adapter writes each request in one send and reads the
-response itself, through one buffered reader per connection. It reads this
-subset of HTTP/1.1: a status line of HTTP/1.1 or HTTP/1.0 and a three-digit
-code, 1xx responses skipped, and of the headers only Content-Length,
-Transfer-Encoding (which must be chunked) and Connection. A body with neither
-framing header runs to EOF and the connection is then closed, as it is after
-an HTTP/1.0 reply or Connection: close. A line may be 64 KiB long with its
-line ending and a response may carry 100 headers, http.client's limits. A
-framing fault closes the connection and fails the call. A kept connection
-the server closed while idle, or that holds bytes after a complete
-response, is replaced before the next request; a POST is never sent twice.
-The adapter connects directly and reads no proxy settings from the
-environment.
+response itself: a status line of HTTP/1.1 or HTTP/1.0 and a three-digit
+code, 1xx responses skipped, then a header block read by the rule in
+spec_funnel.backends.http11. A body with no framing header runs to EOF and
+the connection is then closed, as it is after an HTTP/1.0 reply or
+Connection: close. A framing fault closes the connection and fails the call.
+A kept connection the server closed while idle, or that holds bytes after a
+complete response, is replaced before the next request; a POST is never
+sent twice. The adapter connects directly and reads no proxy settings from
+the environment.
 """
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -45,6 +43,7 @@ import numpy as np
 from ..errors import BackendUnavailable, ValidationError
 from ..gate import AnswerLogits
 from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral, real, reals
+from .http11 import MAX_LINE, framing
 
 __all__ = [
     "DEFAULT_JUDGE_PROMPT",
@@ -198,6 +197,7 @@ class RemoteBackend:
             raise ValidationError("timeout_s must be finite and > 0")
         self.judge_prompt = judge_prompt
         self._log_path = str(exchange_log) if exchange_log else None
+        self._log_file = None  # opened by the first logged exchange, closed by close()
         self._log_lock = threading.Lock()
         self._connect = functools.partial(
             _CONNECTIONS[parts.scheme], parts.hostname, port, timeout=self.timeout_s
@@ -210,14 +210,18 @@ class RemoteBackend:
         self._connections_lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the connection of every thread still holding one; a later
-        call reconnects.
+        """Close the connection of every thread still holding one, and the
+        exchange log; a later call reconnects and reopens the log.
 
         Call it only while no request is in flight.
         """
         with self._connections_lock:
             for link in list(self._connections):
                 link.close()
+        with self._log_lock:
+            if self._log_file is not None:
+                self._close_log()
+                self._log_file = None
 
     def _link(self) -> "_Link":
         link = getattr(self._local, "link", None)
@@ -256,8 +260,11 @@ class RemoteBackend:
             return
         line = json.dumps({"route": route, "request": request, "response": response}, sort_keys=True)
         with self._log_lock:
-            with open(self._log_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if self._log_file is None:
+                # line-buffered, so each exchange reaches the OS before its call returns
+                self._log_file = open(self._log_path, "a", encoding="utf-8", buffering=1)
+                self._close_log = weakref.finalize(self, self._log_file.close)  # also when freed unclosed
+            self._log_file.write(line + "\n")
 
     def judge(self, query: Query) -> JudgeOutput:
         body = self._post(
@@ -304,10 +311,7 @@ def _check_top_logprobs(top_logprobs: int) -> None:
 _CONNECTIONS = {"http": HTTPConnection, "https": HTTPSConnection}
 
 
-_MAX_LINE = 65536  # bytes in one status, header or chunk-size line, its line ending included
-_MAX_HEADERS = 100
 _RECV_BYTES = 65536
-_CONTENT_LENGTH = re.compile(rb"[0-9]{1,18}")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
 
 
@@ -348,7 +352,7 @@ class _Link:
         status = 100
         while 100 <= status < 200:  # interim responses carry no body
             version, status = self._status_line()
-            length, chunked, close = self._headers()
+            length, chunked, close = framing(self._line)
         if chunked:
             body = self._chunked()
         elif length is not None:
@@ -368,31 +372,6 @@ class _Link:
             raise HTTPException(f"bad status line {line[:80]!r}")
         return version, status
 
-    def _headers(self) -> tuple[int | None, bool, bool]:
-        """Read a header block: (Content-Length, chunked, Connection: close)."""
-        length, chunked, close = None, False, False
-        for _ in range(_MAX_HEADERS + 1):
-            line = self._line("header line")
-            if not line:
-                if chunked and length is not None:
-                    raise HTTPException("both Content-Length and chunked framing")
-                return length, chunked, close
-            name, colon, value = line.partition(b":")
-            if not colon:
-                raise HTTPException(f"bad header line {line[:80]!r}")
-            name, value = name.lower(), value.strip()
-            if name == b"content-length":
-                if length is not None or not _CONTENT_LENGTH.fullmatch(value):
-                    raise HTTPException(f"bad Content-Length {value[:80]!r}")
-                length = int(value)
-            elif name == b"transfer-encoding":
-                if chunked or value.lower() != b"chunked":
-                    raise HTTPException(f"unsupported Transfer-Encoding {value[:80]!r}")
-                chunked = True
-            elif name == b"connection":
-                close = close or b"close" in [token.strip() for token in value.lower().split(b",")]
-        raise HTTPException(f"more than {_MAX_HEADERS} headers")
-
     def _chunked(self) -> bytes:
         parts = []
         while True:
@@ -405,21 +384,21 @@ class _Link:
             parts.append(self._read(n))
             if self._line("chunk end"):
                 raise HTTPException("chunk longer than its size")
-        self._headers()  # the trailer section, read and ignored
+        framing(self._line)  # the trailer section, read and ignored
         return b"".join(parts)
 
-    def _line(self, what: str) -> bytes:
+    def _line(self, what: str = "header line") -> bytes:
         """The next line, without its CRLF or LF."""
         end = self.buf.find(b"\n", self.pos)
         while end < 0:
             scanned = len(self.buf) - self.pos
-            if scanned >= _MAX_LINE:
-                raise HTTPException(f"{what} over {_MAX_LINE} bytes")
+            if scanned >= MAX_LINE:
+                raise HTTPException(f"{what} over {MAX_LINE} bytes")
             self._fill()
             end = self.buf.find(b"\n", scanned)
         start, self.pos = self.pos, end + 1
-        if end + 1 - start > _MAX_LINE:
-            raise HTTPException(f"{what} over {_MAX_LINE} bytes")
+        if end + 1 - start > MAX_LINE:
+            raise HTTPException(f"{what} over {MAX_LINE} bytes")
         if end > start and self.buf[end - 1] == 13:  # CR
             end -= 1
         return self.buf[start:end]
@@ -471,9 +450,7 @@ def iter_exchanges(path):
     unreadable file or line is a ValidationError naming the path and line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
+            for line_no, line in _entry_lines(fh):
                 try:
                     entry = json.loads(line)
                 except (json.JSONDecodeError, RecursionError) as exc:
@@ -485,21 +462,30 @@ def iter_exchanges(path):
         raise ValidationError(f"unreadable exchange log {path}: {exc}") from exc
 
 
+def _entry_lines(fh):
+    """(line number, line) of each non-blank line of an exchange log."""
+    return ((line_no, line) for line_no, line in enumerate(fh, 1) if line.strip())
+
+
 def replay_speculations(path, top_logprobs: int = 64) -> dict[str, SpeculativeAnswer]:
     """Rebuild speculative answers from a logged exchange file.
 
     Uses the same parser as the live adapter, so replayed token logits are
-    identical to what the original run saw.
+    identical to what the original run saw. A /speculate entry without a
+    request id or a response, or whose response the parser rejects, is a
+    ValidationError naming the path and line.
     """
     _check_top_logprobs(top_logprobs)
     out = {}
-    for entry in iter_exchanges(path):
+    for index, entry in enumerate(iter_exchanges(path)):
         if entry.get("route") != "/speculate":
             continue
         try:
             qid = entry["request"]["id"]
-            response = entry["response"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed exchange entry: {exc!r}") from exc
-        out[str(qid)] = parse_speculate_response(response, top_logprobs)
+            out[str(qid)] = parse_speculate_response(entry["response"], top_logprobs)
+        except (KeyError, TypeError, BackendUnavailable) as exc:
+            # entries come without their line numbers; this error path reads them again
+            with open(path, encoding="utf-8") as fh:
+                line_no = next(itertools.islice(_entry_lines(fh), index, None))[0]
+            raise ValidationError(f"{path}:{line_no}: unusable /speculate entry: {type(exc).__name__}: {exc}") from exc
     return out

@@ -26,6 +26,7 @@ from spec_funnel.backends.remote import (
     parse_speculate_response,
     replay_speculations,
 )
+from spec_funnel.cli import main
 from spec_funnel.errors import BackendUnavailable, ValidationError
 from spec_funnel.gate import AnswerLogits, TokenLogits
 
@@ -481,6 +482,9 @@ UNREADABLE_REPLIES = {
     "chunked_cut_short": _reply(b"Transfer-Encoding: chunked", body=b"%x\r\n" % len(PAYLOAD) + PAYLOAD, close=True),
     "body_cut_short": _reply(b"Content-Length: %d" % (len(PAYLOAD) + 1), close=True),
     "header_without_colon": _reply(_length(PAYLOAD), b"not a header"),
+    "space_before_colon": _reply(b"Content-Length : %d" % len(PAYLOAD)),
+    "folded_header": _reply(_length(PAYLOAD), b"Link: <http://a>,", b" <http://b>"),
+    "empty_header_name": _reply(_length(PAYLOAD), b": x"),
     "two_digit_status": _reply(_length(PAYLOAD), status=b"HTTP/1.1 20 OK"),
     "status_below_100": _reply(_length(PAYLOAD), status=b"HTTP/1.1 099 OK"),
     "http2_status": _reply(_length(PAYLOAD), status=b"HTTP/2 200 OK"),
@@ -522,6 +526,15 @@ class TestResponseReader:
             backend.judge(QUERY)
         assert time.monotonic() - started < 10
         assert [qid for _, _, qid in keepalive_server.posts] == ["q1"]
+
+    def test_unframeable_header_fails_without_waiting_for_the_timeout(self, keepalive_server, make_backend):
+        # a body with no framing header would be read to EOF, which a kept connection never sends
+        keepalive_server.fault = UNREADABLE_REPLIES["space_before_colon"]
+        backend = make_backend(keepalive_server.url, timeout_s=30)
+        started = time.monotonic()
+        with pytest.raises(BackendUnavailable, match="bad header line"):
+            backend.judge(QUERY)
+        assert time.monotonic() - started < 10
 
     def test_http_error_body_is_read_and_the_connection_kept(self, keepalive_server, make_backend):
         keepalive_server.fault = _reply(b"Content-Length: 5", status=b"HTTP/1.1 503 Busy", body=b"later")
@@ -587,6 +600,32 @@ class TestExchangeLogAndReplay:
         backend.agentic_run(QUERY)
         routes = [entry["route"] for entry in iter_exchanges(log_path)]
         assert routes == ["/judge", "/speculate", "/agentic"]
+
+    def test_log_is_line_buffered_and_reopened_after_close(self, stub_server, tmp_path):
+        log_path = tmp_path / "exchanges.jsonl"
+        backend = RemoteBackend(stub_server, exchange_log=log_path)
+        for qid in ("q1", "q2", "q3"):
+            backend.judge(Query(id=qid))
+        assert len(log_path.read_text(encoding="utf-8").splitlines()) == 3  # each line written as its call returned
+        backend.close()
+        backend.judge(Query(id="q4"))
+        backend.speculate(Query(id="q5"))
+        backend.close()
+        assert [entry["request"]["id"] for entry in iter_exchanges(log_path)] == ["q1", "q2", "q3", "q4", "q5"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"route": "/speculate"}, {"route": "/speculate", "request": {"id": "q1"}, "response": {"answer": 3}}],
+        ids=["no_request", "unparsable_response"],
+    )
+    def test_malformed_speculate_entry_names_its_line(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.jsonl"
+        judged = {"route": "/judge", "request": {"id": "q1"}, "response": {"g": 0, "latency_s": 0.1}}
+        bad.write_text(json.dumps(judged) + "\n\n" + json.dumps(entry) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="bad.jsonl:3: "):
+            replay_speculations(bad)
+        assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}:3: ")
 
     def test_corrupt_log_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

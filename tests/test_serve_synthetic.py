@@ -264,6 +264,13 @@ def test_other_methods_are_501_and_keep_the_connection(served, connection, metho
         (_judge(headers=b"X-Many: 1\r\n" * 99), 431),  # with Host and Content-Length, 101
         (b"POST /judge HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n{}", 413),
         (b"POST /judge HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n{}", 413),
+        (b'POST /judge HTTP/1.1\r\nHost: x\r\nContent-Length : 12\r\n\r\n{"id": "q1"}', 400),
+        (b'POST /judge HTTP/1.1\r\n Content-Length: 12\r\n\r\n{"id": "q1"}', 400),
+        (_judge(headers=b"Link: <http://a>,\r\n <http://b>\r\n"), 400),
+        (_judge(headers=b"Content-Length: 12\r\n"), 400),
+        (b"POST /judge HTTP/1.1\r\nContent-Length: " + b"1" * 19 + b"\r\n\r\n{}", 413),
+        (b"POST /judge HTTP/1.1\r\nContent-Length: " + b"0" * 17 + b"12\r\n\r\n" + b'{"id": "q1"}', 413),
+        (_judge(headers=b": x\r\n"), 400),
     ],
     ids=[
         "blank-line",
@@ -280,6 +287,13 @@ def test_other_methods_are_501_and_keep_the_connection(served, connection, metho
         "101-headers",
         "body-over-1MiB",
         "5000-digit-length",
+        "space-before-colon",
+        "leading-whitespace",
+        "folded-header",
+        "equal-repeated-lengths",
+        "19-digit-length",
+        "19-digit-small-length",
+        "empty-header-name",
     ],
 )
 def test_unframeable_request_is_refused_and_closes_the_connection(served, request_bytes, status):
