@@ -1,5 +1,5 @@
 from .base import AgenticOutput, Backend, JudgeOutput, Query, SpeculativeAnswer, substream
-from .remote import DEFAULT_JUDGE_PROMPT, ENDPOINT_ENV_VAR, RemoteBackend, replay_speculations
+from .remote import DEFAULT_JUDGE_PROMPT, ENDPOINT_ENV_VAR, RemoteBackend
 from .synthetic import (
     SyntheticBackend,
     SyntheticConfig,
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_JUDGE_PROMPT",
     "ENDPOINT_ENV_VAR",
     "RemoteBackend",
-    "replay_speculations",
     "SyntheticBackend",
     "SyntheticConfig",
     "Uniform",

@@ -9,8 +9,9 @@ Wire protocol (JSON bodies, POST):
 
 step_costs carries one [llm_s, tool_s] pair per loop step including the
 final answer-emission step (tool_s = 0 there), so len(step_costs) must be
-depth + 1. Every successful exchange can be appended to a line-delimited
-JSON log for offline replay.
+depth + 1. Every exchange answered 200 with a JSON body can be appended to
+a line-delimited JSON log for offline replay; it is logged before the
+route's parser checks it, so the log also holds responses the run rejected.
 
 Transport: one persistent connection per thread, kept while the server
 keeps it alive. http.client's HTTPConnection or HTTPSConnection connects
@@ -27,7 +28,6 @@ the environment.
 """
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -35,6 +35,7 @@ import re
 import select
 import threading
 import weakref
+from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from urllib.parse import urlsplit
 
@@ -53,7 +54,7 @@ __all__ = [
     "parse_speculate_response",
     "parse_agentic_response",
     "iter_exchanges",
-    "replay_speculations",
+    "LoggedSpeculation",
 ]
 
 DEFAULT_JUDGE_PROMPT = (
@@ -446,46 +447,36 @@ def _readable(sock) -> bool:
 
 
 def iter_exchanges(path):
-    """Yield logged exchanges, one JSON object a line, from a file; an
-    unreadable file or line is a ValidationError naming the path and line."""
+    """Yield logged exchanges, one JSON object a line, from a file. An
+    unreadable file, and a line that is not a JSON object or lacks a route,
+    a request id or a response, is a ValidationError naming the path, and
+    the line where there is one."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in _entry_lines(fh):
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
                 try:
                     entry = json.loads(line)
                 except (json.JSONDecodeError, RecursionError) as exc:
                     raise ValidationError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
                 if not isinstance(entry, dict):
                     raise ValidationError(f"{path}:{line_no}: not a JSON object")
+                request = entry.get("request")
+                if not ("route" in entry and "response" in entry and isinstance(request, dict) and "id" in request):
+                    raise ValidationError(f"{path}:{line_no}: entry needs a route, a request id and a response")
                 yield entry
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"unreadable exchange log {path}: {exc}") from exc
 
 
-def _entry_lines(fh):
-    """(line number, line) of each non-blank line of an exchange log."""
-    return ((line_no, line) for line_no, line in enumerate(fh, 1) if line.strip())
+@dataclass(frozen=True)
+class LoggedSpeculation:
+    """One logged /speculate response, which speculate() parses as the live
+    adapter did: the same token logits, or the same BackendUnavailable."""
 
+    response: object
+    top_logprobs: int
 
-def replay_speculations(path, top_logprobs: int = 64) -> dict[str, SpeculativeAnswer]:
-    """Rebuild speculative answers from a logged exchange file.
-
-    Uses the same parser as the live adapter, so replayed token logits are
-    identical to what the original run saw. A /speculate entry without a
-    request id or a response, or whose response the parser rejects, is a
-    ValidationError naming the path and line.
-    """
-    _check_top_logprobs(top_logprobs)
-    out = {}
-    for index, entry in enumerate(iter_exchanges(path)):
-        if entry.get("route") != "/speculate":
-            continue
-        try:
-            qid = entry["request"]["id"]
-            out[str(qid)] = parse_speculate_response(entry["response"], top_logprobs)
-        except (KeyError, TypeError, BackendUnavailable) as exc:
-            # entries come without their line numbers; this error path reads them again
-            with open(path, encoding="utf-8") as fh:
-                line_no = next(itertools.islice(_entry_lines(fh), index, None))[0]
-            raise ValidationError(f"{path}:{line_no}: unusable /speculate entry: {type(exc).__name__}: {exc}") from exc
-    return out
+    def speculate(self, query: Query) -> SpeculativeAnswer:
+        return parse_speculate_response(self.response, self.top_logprobs)

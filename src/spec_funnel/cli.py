@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration as cal
-from .backends.base import real
-from .backends.remote import ENDPOINT_ENV_VAR, RemoteBackend, replay_speculations
+from .backends import remote
+from .backends.base import Query, real
+from .backends.remote import ENDPOINT_ENV_VAR, LoggedSpeculation, RemoteBackend
 from .backends.synthetic import (
     SyntheticBackend,
     make_quota_workload,
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .funnel import serve_batch, serve_batch_baseline
 from .gate import Scoring, gate
-from .pipeline import QueryPath, _fallback, answers_match, expected_latency
+from .pipeline import QueryPath, _draft, _fallback, answers_match, expected_latency
 from .recordio import (
     ABLATE_AGGREGATION_HEADER,
     ABLATE_BATCH_HEADER,
@@ -403,14 +404,21 @@ def cmd_report(run_dir: str) -> int:
 
 
 def cmd_replay(config: RunConfig, args) -> tuple[dict, str]:
-    answers = replay_speculations(args.log, config.backend.top_logprobs)
-    if not answers:
+    def score(logits):
+        decision = gate(logits, config.gate)
+        return len(logits), decision.score, decision.verdict.value
+
+    drafts = {}  # by id: the last entry counts
+    for entry in remote.iter_exchanges(args.log):  # on the module, where perfbench's tracer wraps it
+        if entry["route"] == "/speculate":
+            query = Query(id=str(entry["request"]["id"]))
+            drafts[query.id] = _draft(LoggedSpeculation(entry["response"], config.backend.top_logprobs), query, score)
+    if not drafts:
         raise ValidationError(f"no /speculate exchanges found in {args.log}")
-    rows = []
-    for qid in sorted(answers):
-        draft = answers[qid]
-        decision = gate(draft.token_logits, config.gate)
-        rows.append([qid, draft.answer, len(draft.token_logits), decision.score, decision.verdict.value])
+    rows = [[qid, answer, *scored] for qid, (answer, scored, _) in sorted(drafts.items()) if scored is not None]
+    if not rows:
+        raise BackendUnavailable(f"the parser rejected every /speculate response in {args.log}")
+    _warn_failed("replay", len(drafts) - len(rows))
     name = "replay_scores.csv"
     return {name: (REPLAY_HEADER, rows)}, f"replay: {len(rows)} speculations rescored -> {Path(args.out) / name}"
 

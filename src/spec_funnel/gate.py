@@ -67,7 +67,7 @@ class TokenLogits:
             raise ValidationError("token logits must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(values)):
             raise ValidationError("token logits must all be finite")
-        if values.size > 1 and np.any(np.diff(values) > 0.0):
+        if (values[1:] > values[:-1]).any():  # np.diff overflows between far-apart finite values
             raise ValidationError("token logits must be sorted in descending order")
         object.__setattr__(self, "values", values)
 
@@ -201,10 +201,11 @@ def token_separability(logits: TokenLogits, k: int = 64, epsilon: float = 1e-6) 
         # flat window (sorted, so ends equal means all equal): exact zero,
         # independent of np.mean rounding an ulp below the common value
         return 0.0
-    margin = float(window[0]) - float(window.mean())
-    if margin <= 0.0:
-        return 0.0
-    return margin / (float(window.std()) + epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = float(window[0]) - float(window.mean())
+        if not 0.0 < margin < math.inf:  # also when the window's sum is past the float range
+            return 0.0
+        return margin / (float(window.std()) + epsilon)
 
 
 def max_softmax_prob(logits: TokenLogits) -> float:
@@ -214,8 +215,8 @@ def max_softmax_prob(logits: TokenLogits) -> float:
     the value upward relative to the vocabulary-wide probability; the shift
     by the leading logit keeps the computation stable.
     """
-    shifted = logits.values - logits.values[0]
-    return float(1.0 / np.exp(shifted).sum())
+    with np.errstate(over="ignore"):  # a gap past the float range is -inf, of weight 0
+        return float(1.0 / np.exp(logits.values - logits.values[0]).sum())
 
 
 def log_confidence(answer: Sequence[TokenLogits]) -> float:
@@ -223,9 +224,9 @@ def log_confidence(answer: Sequence[TokenLogits]) -> float:
     if len(answer) == 0:
         raise EmptyAnswerError("cannot score an empty answer")
     log_probs = []
-    for logits in answer:
-        shifted = logits.values - logits.values[0]
-        log_probs.append(-math.log(float(np.exp(shifted).sum())))
+    with np.errstate(over="ignore"):  # as in max_softmax_prob
+        for logits in answer:
+            log_probs.append(-math.log(float(np.exp(logits.values - logits.values[0]).sum())))
     return math.exp(math.fsum(log_probs) / len(answer))
 
 
@@ -329,10 +330,11 @@ def _by_window(values: np.ndarray, windows: list[int], score_rows) -> list[float
     the last bit of the row's sum.
     """
     scores = [0.0] * len(windows)
-    for w in set(windows):
-        rows = [i for i, n in enumerate(windows) if n == w]
-        for i, score in zip(rows, score_rows(values[rows, :w])):
-            scores[i] = score
+    with np.errstate(over="ignore", invalid="ignore"):  # far-apart finite logits overflow a sum or a gap
+        for w in set(windows):
+            rows = [i for i, n in enumerate(windows) if n == w]
+            for i, score in zip(rows, score_rows(values[rows, :w])):
+                scores[i] = score
     return scores
 
 
@@ -347,8 +349,8 @@ def _separabilities(rows: np.ndarray, epsilon: float) -> list[float]:
         rows[:, 0].tolist(), rows[:, -1].tolist(), means[:, 0].tolist(), square_sums.tolist()
     ):
         margin = top - mean
-        # a flat window (equal ends) and a non-positive margin score exactly 0
-        if top == last or margin <= 0.0:
+        # a flat window (equal ends) scores exactly 0, as does a margin <= 0 or past the float range
+        if top == last or not 0.0 < margin < math.inf:
             scores.append(0.0)
         else:
             scores.append(margin / (math.sqrt(square_sum / width) + epsilon))

@@ -19,7 +19,7 @@ from spec_funnel.backends.synthetic import (
     make_quota_workload,
     make_workload,
 )
-from spec_funnel.backends.remote import parse_judge_response
+from spec_funnel.backends.remote import parse_judge_response, parse_speculate_response
 from spec_funnel.errors import BackendUnavailable, InfiniteSpeedup, ValidationError
 from spec_funnel.funnel import (
     FunnelStats,
@@ -264,6 +264,28 @@ class TestServeBatchUnderFailures:
         assert all(o.path is QueryPath.TOOL_REQUIRED_FALLBACK for o in outcomes)
         assert all(o.latency.judge_s == 0.0 for o in outcomes)
         assert math.isfinite(stats.batch_makespan_s) and stats.throughput_qps is not None
+
+    def test_draft_past_the_float_range_falls_back(self, synthetic_config):
+        # finite and sorted, but the row sum overflows: the token scores 0
+        # under the default MIN gate instead of aborting the batch
+        logprobs = [{"token": t, "logprob": v} for t, v in (("a", 1e300), ("b", -1e308), ("c", -1e308))]
+        body = {"answer": "A", "tokens": [{"text": "A", "top_logprobs": logprobs}], "latency_s": 0.2}
+
+        drafted = []
+
+        class ExtremeDraftBackend(SyntheticBackend):
+            def speculate(self, query):
+                drafted.append(query.id)
+                if len(drafted) == 1:
+                    return parse_speculate_response(body, 64)
+                return super().speculate(query)
+
+        backend = ExtremeDraftBackend(synthetic_config)
+        outcomes, _ = serve_batch(make_workload(synthetic_config, 20), GateConfig(), ScheduleConfig(), backend)
+        assert len(outcomes) == 20 and not any(o.error for o in outcomes)
+        first = next(o for o in outcomes if o.query_id == drafted[0])
+        assert first.path is QueryPath.SPECULATION_REJECTED_FALLBACK
+        assert first.gate.token_scores == (0.0,) and first.gate.score == 0.5
 
 
 class TestFunnelStatsValidation:

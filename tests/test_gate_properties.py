@@ -282,3 +282,30 @@ class TestPackedGate:
             packed = rows[:, :window].sum(axis=1)
             one_by_one = np.array([row[:window].sum() for row in rows])
             assert packed.tobytes() == one_by_one.tobytes()
+
+
+# a window of these can overflow a sum or a gap between two of its logits
+full_range_answers = st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6), min_size=1, max_size=4
+)
+
+
+class TestFullRangeLogits:
+    @settings(max_examples=3000, deadline=None)
+    @given(data=full_range_answers, k=st.integers(2, 7), ratio=st.floats(min_value=0.01, max_value=0.99))
+    def test_gate_is_finite_and_equals_the_one_token_reference(self, data, k, ratio):
+        # a score past the float range is 0, never NaN, and warns of nothing
+        tokens = tuple(sorted_logits(values) for values in data)
+        packed = AnswerLogits.from_tokens(tokens)
+        for mode in Scoring:
+            config = GateConfig(k=k, aggregation=mode, bottom_ratio=ratio)
+            decision = gate(packed, config)
+            assert math.isfinite(decision.score)
+            assert all(map(math.isfinite, decision.token_scores))
+            assert repr(decision) == repr(reference_gate(tokens, config))
+
+    def test_row_sum_past_the_float_range_scores_zero(self):
+        logits = TokenLogits(np.array([1e300, -1e308, -1e308]))
+        assert token_separability(logits) == 0.0
+        decision = gate([logits], GateConfig())
+        assert decision.token_scores == (0.0,) and decision.verdict is Verdict.FALLBACK

@@ -19,12 +19,12 @@ import pytest
 from spec_funnel.backends import remote
 from spec_funnel.backends.base import Query
 from spec_funnel.backends.remote import (
+    LoggedSpeculation,
     RemoteBackend,
     iter_exchanges,
     parse_agentic_response,
     parse_judge_response,
     parse_speculate_response,
-    replay_speculations,
 )
 from spec_funnel.cli import main
 from spec_funnel.errors import BackendUnavailable, ValidationError
@@ -583,7 +583,11 @@ class TestExchangeLogAndReplay:
             query = Query(id=qid, question="what color?")
             backend.judge(query)
             live[qid] = backend.speculate(query)
-        replayed = replay_speculations(log_path, top_logprobs=5)
+        replayed = {
+            entry["request"]["id"]: LoggedSpeculation(entry["response"], 5).speculate(Query(id=entry["request"]["id"]))
+            for entry in iter_exchanges(log_path)
+            if entry["route"] == "/speculate"
+        }
         assert set(replayed) == set(live)
         for qid, draft in live.items():
             again = replayed[qid]
@@ -614,18 +618,45 @@ class TestExchangeLogAndReplay:
         assert [entry["request"]["id"] for entry in iter_exchanges(log_path)] == ["q1", "q2", "q3", "q4", "q5"]
 
     @pytest.mark.parametrize(
-        "entry",
-        [{"route": "/speculate"}, {"route": "/speculate", "request": {"id": "q1"}, "response": {"answer": 3}}],
-        ids=["no_request", "unparsable_response"],
+        "entry, code, err",
+        [
+            ({"route": "/speculate"}, 2, "config error: {bad}:3: "),
+            ({"route": "/judge", "request": {"id": "q1"}}, 2, "config error: {bad}:3: "),
+            # the parser rejects the one logged speculation, as it would live
+            (
+                {"route": "/speculate", "request": {"id": "q1"}, "response": {"answer": 3}},
+                3,
+                "backend error: the parser rejected every /speculate response in {bad}",
+            ),
+        ],
+        ids=["no_request", "judge_without_response", "unparsable_response"],
     )
-    def test_malformed_speculate_entry_names_its_line(self, tmp_path, capsys, entry):
+    def test_malformed_speculate_entry_names_its_line(self, tmp_path, capsys, entry, code, err):
         bad = tmp_path / "bad.jsonl"
         judged = {"route": "/judge", "request": {"id": "q1"}, "response": {"g": 0, "latency_s": 0.1}}
         bad.write_text(json.dumps(judged) + "\n\n" + json.dumps(entry) + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="bad.jsonl:3: "):
-            replay_speculations(bad)
-        assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {bad}:3: ")
+        if code == 2:
+            with pytest.raises(ValidationError, match="bad.jsonl:3: "):
+                list(iter_exchanges(bad))
+        assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(err.format(bad=bad))
+        assert not (tmp_path / "o" / "replay_scores.csv").exists()
+
+    def test_failed_live_call_is_logged_and_replayed_as_a_failure(self, stub_server, tmp_path, capsys):
+        log_path = tmp_path / "exchanges.jsonl"
+        backend = RemoteBackend(stub_server, top_logprobs=5, exchange_log=log_path)
+        backend.speculate(Query(id="q1"))
+        StubHandler.behaviors["/speculate"] = "no_logprobs"
+        with pytest.raises(BackendUnavailable, match="missing logprobs"):
+            backend.speculate(Query(id="q2"))
+        backend.close()
+        assert [entry["request"]["id"] for entry in iter_exchanges(log_path)] == ["q1", "q2"]
+        out = tmp_path / "replayed"
+        assert main(["replay", str(log_path), "--out", str(out)]) == 0
+        rows = (out / "replay_scores.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["q1"]
+        err = capsys.readouterr().err
+        assert err == "replay: warning: 1 backend calls failed and were left out\n"
 
     def test_corrupt_log_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -649,7 +680,7 @@ class TestExchangeLogAndReplay:
         log = tmp_path / "log.jsonl"
         make(log)
         with pytest.raises(ValidationError, match=f"unreadable exchange log {re.escape(str(log))}"):
-            replay_speculations(log)
+            list(iter_exchanges(log))
 
     @pytest.mark.parametrize("line", ["[]", '"x"', "3", "null"])
     def test_log_line_that_is_not_an_object_rejected(self, tmp_path, line):
@@ -657,7 +688,7 @@ class TestExchangeLogAndReplay:
         entry = {"route": "/judge", "request": {"id": "q1"}, "response": {"g": 0, "latency_s": 0.1}}
         bad.write_text(json.dumps(entry) + "\n\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="bad.jsonl:3: not a JSON object"):
-            replay_speculations(bad)
+            list(iter_exchanges(bad))
 
 
 class TestParserEdgeCases:
@@ -743,12 +774,12 @@ class TestParserEdgeCases:
             parse_speculate_response(speculate_body(n_tokens=2, n_logprobs=3), 8)
 
     @pytest.mark.parametrize("top_logprobs", [0, -1])
-    def test_top_logprobs_below_one_rejected(self, tmp_path, top_logprobs):
+    def test_top_logprobs_below_one_rejected(self, top_logprobs):
         # -1 used to drop each token's last logprob without a word
         with pytest.raises(ValidationError):
             parse_speculate_response(speculate_body(), top_logprobs)
         with pytest.raises(ValidationError):
-            replay_speculations(tmp_path / "never-read.jsonl", top_logprobs)
+            LoggedSpeculation({}, top_logprobs).speculate(QUERY)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5", TOO_LARGE])
     def test_non_finite_latency_unavailable(self, value):
