@@ -3,10 +3,11 @@
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from ..errors import ValidationError
 from ..gate import AnswerLogits
@@ -18,6 +19,7 @@ __all__ = [
     "AgenticOutput",
     "Backend",
     "substream",
+    "substreams",
     "integral",
     "real",
     "reals",
@@ -180,15 +182,93 @@ class Backend(Protocol):
     def agentic_run(self, query: Query) -> AgenticOutput: ...
 
 
+def _entropy(seed: int, keys) -> bytes:
+    """The 16 bytes that seed the stream of a (seed, key path) pair: the
+    SHA-256 prefix of the path's text, read as four little-endian words."""
+    material = "\x1f".join([str(seed), *(str(k) for k in keys)]).encode()
+    return hashlib.sha256(material).digest()[:16]
+
+
 def substream(seed: int, *keys: object) -> np.random.Generator:
     """Independent deterministic RNG for a (seed, key path) pair.
 
     Streams are derived by hashing, so draws for one query/phase/step never
     depend on batch composition, call order, or worker count.
     """
-    material = "\x1f".join([str(seed), *(str(k) for k in keys)]).encode()
-    digest = hashlib.sha256(material).digest()
     # The same stream as default_rng(int.from_bytes(digest[:16], "little")):
     # SeedSequence pads its entropy to four 32-bit words with zeros, so the
     # four little-endian words of the digest prefix seed it identically.
-    return Generator(PCG64(SeedSequence(np.frombuffer(digest[:16], "<u4"))))
+    return Generator(PCG64(SeedSequence(np.frombuffer(_entropy(seed, keys), "<u4"))))
+
+
+# numpy's SeedSequence constants: pool mixing (A), state output (B), mix()
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of a uint32 column, and the next hash constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value *= const
+    value ^= value >> 16
+    return value, const
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).pool for each row of an (n, 4) uint32 entropy
+    array, as an (n, 4) uint32 array, mixed a whole column at a time."""
+    const = _INIT_A
+    pool = []
+    for column in entropy.T:
+        word, const = _hashmix(column, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * word
+                mixed ^= mixed >> 16
+                pool[dst] = mixed
+    return np.stack(pool, axis=1)
+
+
+def _seed_states(pool: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) for each row of an (n, 4)
+    pool array: eight uint32 words drawn from the pool, paired into uint64
+    words as lo | hi << 32, as SeedSequence pairs them little-endian."""
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        word, const = _hashmix(pool[:, i % 4], const, _MULT_B)
+        words.append(word.astype(np.uint64))
+    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+class _SeedState(ISeedSequence):
+    """The seed of one stream: the state words PCG64 asks its seed sequence
+    for, computed beforehand."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("holds only PCG64's generate_state(4, np.uint64)")
+        return self.state
+
+
+def substreams(seed: int, key_paths) -> Iterator[np.random.Generator]:
+    """substream(seed, *keys) for each key path in order, state for state.
+
+    Each path is hashed, and the seed states of all of them are mixed in one
+    vectorized pass, when this is called; each Generator is built as it is
+    taken.
+    """
+    digests = bytearray()
+    for keys in key_paths:
+        digests += _entropy(seed, keys)
+    entropy = np.frombuffer(digests, "<u4").reshape(-1, 4)
+    return (Generator(PCG64(_SeedState(state))) for state in _seed_states(_pool(entropy)))

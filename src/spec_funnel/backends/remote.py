@@ -450,7 +450,8 @@ def iter_exchanges(path):
     """Yield logged exchanges, one JSON object a line, from a file. An
     unreadable file, and a line that is not a JSON object or lacks a route,
     a request id or a response, is a ValidationError naming the path, and
-    the line where there is one."""
+    the line where there is one. A request id is a non-empty string, as the
+    client logs Query.id."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -465,6 +466,9 @@ def iter_exchanges(path):
                 request = entry.get("request")
                 if not ("route" in entry and "response" in entry and isinstance(request, dict) and "id" in request):
                     raise ValidationError(f"{path}:{line_no}: entry needs a route, a request id and a response")
+                request_id = request["id"]
+                if not (isinstance(request_id, str) and request_id):
+                    raise ValidationError(f"{path}:{line_no}: request id must be a non-empty string, not {request_id!r}")
                 yield entry
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"unreadable exchange log {path}: {exc}") from exc

@@ -20,7 +20,7 @@ import numpy as np
 from ..bounds import Range, check_bounds
 from ..errors import ValidationError
 from ..gate import AnswerLogits, TokenLogits
-from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, substream
+from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, substream, substreams
 
 __all__ = [
     "Uniform",
@@ -286,33 +286,44 @@ def make_workload(config: SyntheticConfig, n_queries: int) -> list[Query]:
     """Bernoulli workload: latent flags sampled from the configured priors."""
     if n_queries < 1:
         raise ValidationError("workload must contain at least one query")
-    return [_workload_query(config, i) for i in range(n_queries)]
+    return _workload(config, [(None, None)] * n_queries)
 
 
-def _workload_query(config: SyntheticConfig, i: int, requires_tools=None, draft_correct=None) -> Query:
-    """Query i of a synthetic workload. Its "workload" stream draws the
-    Bernoulli tool flag, then the depth; a quota workload pins the flag with
-    `requires_tools` in place of the drawn one, and the draft with
-    `draft_correct`."""
-    qid = f"q{i:06d}"
-    rng = substream(config.seed, qid, "workload")
-    requires = bool(rng.random() < config.p_tool_required)
-    depth = sample_weighted(rng, config.depth_weights)
-    return Query(
-        id=qid,
-        image_ref=f"synthetic://{qid}",
-        question=f"synthetic question {i}",
-        ground_truth=_derive_truth(config.seed, qid),
-        true_requires_tools=requires if requires_tools is None else requires_tools,
-        true_depth=depth,
-        true_draft_correct=draft_correct,
-    )
+def _workload(config: SyntheticConfig, pins) -> list[Query]:
+    """The queries of a synthetic workload, one per (requires_tools,
+    draft_correct) pin. Query i's "workload" stream draws the Bernoulli tool
+    flag, then the depth, and its "truth" stream the ground truth; a quota
+    workload pins the flag with requires_tools in place of the drawn one,
+    and the draft with draft_correct. The 2n streams are seeded in one
+    batch."""
+    qids = [f"q{i:06d}" for i in range(len(pins))]
+    streams = substreams(config.seed, ((qid, part) for qid in qids for part in ("workload", "truth")))
+    queries = []
+    for i, (qid, (requires_tools, draft_correct)) in enumerate(zip(qids, pins)):
+        rng = next(streams)
+        requires = bool(rng.random() < config.p_tool_required)
+        depth = sample_weighted(rng, config.depth_weights)
+        queries.append(
+            Query(
+                id=qid,
+                image_ref=f"synthetic://{qid}",
+                question=f"synthetic question {i}",
+                ground_truth=_truth(next(streams)),
+                true_requires_tools=requires if requires_tools is None else requires_tools,
+                true_depth=depth,
+                true_draft_correct=draft_correct,
+            )
+        )
+    return queries
 
 
 def _derive_truth(seed: int, query_id: str) -> str:
     # same stream the backend falls back to, so a synthetic server with a
     # matching seed agrees with a locally generated workload
-    rng = substream(seed, query_id, "truth")
+    return _truth(substream(seed, query_id, "truth"))
+
+
+def _truth(rng: np.random.Generator) -> str:
     return CHOICES[int(rng.integers(len(CHOICES)))]
 
 
@@ -340,10 +351,7 @@ def make_quota_workload(
     n_toolfree = int(round(Fraction(str(toolfree_fraction)) * n_queries))
     n_accept = math.floor(Fraction(str(accept_fraction)) * n_toolfree)
     # n_accept <= n_toolfree, so every accepted query is screened tool-free
-    return [
-        _workload_query(config, i, requires_tools=i >= n_toolfree, draft_correct=i < n_accept)
-        for i in range(n_queries)
-    ]
+    return _workload(config, [(i >= n_toolfree, i < n_accept) for i in range(n_queries)])
 
 
 def validate_quota_gate(config: SyntheticConfig, gate_config) -> None:

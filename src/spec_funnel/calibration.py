@@ -9,6 +9,7 @@ discriminability metric, and sweeps accept thresholds into operating points
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 KDE_GRID_SIZE = 512
+_KDE_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -212,10 +214,15 @@ def kde(scores, bandwidth: float | None = None) -> DensityEstimate:
     norm = 1.0 / math.sqrt(2.0 * math.pi)
     for chunk_start in range(0, x.size, 2048):
         chunk = x[chunk_start : chunk_start + 2048]
-        # source points plus their reflections across 0 and 1
-        for points in (chunk, -chunk, 2.0 - chunk):
-            z = (grid[:, None] - points[None, :]) / h
-            density += norm * np.exp(-0.5 * z * z).sum(axis=1)
+        # grid rows in blocks, so the temporaries are one block by one chunk
+        # whatever n is; each row still sums its whole chunk in one pairwise
+        # sum, which keeps every bit of the density
+        for row in range(0, KDE_GRID_SIZE, _KDE_BLOCK_ROWS):
+            rows = slice(row, row + _KDE_BLOCK_ROWS)
+            # source points plus their reflections across 0 and 1
+            for points in (chunk, -chunk, 2.0 - chunk):
+                z = (grid[rows, None] - points[None, :]) / h
+                density[rows] += norm * np.exp(-0.5 * z * z).sum(axis=1)
     density /= x.size * h
     return DensityEstimate(grid=grid, density=density, bandwidth=h)
 
@@ -365,10 +372,11 @@ def union_bound_report(token_scores, correct, n_bins: int = 10) -> UnionBoundRep
         bins.append((float(edges[b]), float(edges[b + 1]), count, rate))
     nonempty = [r for (_, _, n, r) in bins if n > 0]
     monotone = all(b <= a for a, b in zip(nonempty, nonempty[1:]))
-    per_answer = []
-    for ts in token_scores:
-        token_idx = np.clip(np.searchsorted(edges, np.asarray(ts), side="right") - 1, 0, n_bins - 1)
-        per_answer.append(float(np.minimum(rates[token_idx].sum(), 1.0)))
+    # each answer sums its own slice of the binned tokens, the same sum bit
+    # for bit as over its tokens alone (np.add.reduceat is not)
+    token_rates = rates[idx]
+    ends = list(accumulate(len(ts) for ts in token_scores))
+    per_answer = [min(float(token_rates[a:b].sum()), 1.0) for a, b in zip([0, *ends], ends)]
     return UnionBoundReport(
         bins=tuple(bins),
         union_bound_mean=float(np.mean(per_answer)),

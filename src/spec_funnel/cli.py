@@ -411,7 +411,7 @@ def cmd_replay(config: RunConfig, args) -> tuple[dict, str]:
     drafts = {}  # by id: the last entry counts
     for entry in remote.iter_exchanges(args.log):  # on the module, where perfbench's tracer wraps it
         if entry["route"] == "/speculate":
-            query = Query(id=str(entry["request"]["id"]))
+            query = Query(id=entry["request"]["id"])
             drafts[query.id] = _draft(LoggedSpeculation(entry["response"], config.backend.top_logprobs), query, score)
     if not drafts:
         raise ValidationError(f"no /speculate exchanges found in {args.log}")

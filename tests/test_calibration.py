@@ -1,13 +1,18 @@
 """Calibration tests: score collection, KDE against a brute-force grid
-oracle, peak distance, threshold sweeps, and threshold choice."""
+oracle and the unblocked loop, peak distance, threshold sweeps, threshold
+choice, and the union bound against its per-answer loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, make_workload
 from spec_funnel.calibration import (
+    KDE_GRID_SIZE,
     CostSummary,
     OperatingPoint,
     ScoreSample,
@@ -36,6 +41,20 @@ def brute_force_kde_argmax(scores, bandwidth, grid):
         if total > best_density:
             best_x, best_density = x, total
     return best_x
+
+
+def unblocked_kde_density(x, bandwidth):
+    """The KDE loop over whole 512-row grids, chunk by 2048 sorted points."""
+    grid = np.linspace(0.0, 1.0, KDE_GRID_SIZE)
+    density = np.zeros(KDE_GRID_SIZE)
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    for chunk_start in range(0, x.size, 2048):
+        chunk = x[chunk_start : chunk_start + 2048]
+        for points in (chunk, -chunk, 2.0 - chunk):
+            z = (grid[:, None] - points[None, :]) / bandwidth
+            density += norm * np.exp(-0.5 * z * z).sum(axis=1)
+    density /= x.size * bandwidth
+    return density
 
 
 class TestCollectScores:
@@ -109,6 +128,26 @@ class TestKde:
     def test_explicit_bandwidth_respected(self):
         scores = [0.3, 0.4, 0.5, 0.6]
         assert kde(scores, bandwidth=0.07).bandwidth == 0.07
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.05], ids=["silverman", "fixed"])
+    @pytest.mark.parametrize("n", [2, 233, 2047, 2048, 2049, 5000])
+    def test_bytes_equal_the_unblocked_loop(self, n, bandwidth):
+        scores = np.random.default_rng(n).beta(2.0, 5.0, size=n)
+        estimate = kde(scores, bandwidth)
+        expected = unblocked_kde_density(np.sort(scores), estimate.bandwidth)
+        assert estimate.density.tobytes() == expected.tobytes()
+
+    def test_transient_memory_does_not_grow_with_n(self):
+        # the unblocked loop peaks at about 24 MiB here: 512 x 2048 doubles,
+        # three of them alive at once
+        scores = np.random.default_rng(6).random(5000)
+        tracemalloc.start()
+        try:
+            kde(scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestPeakDistance:
@@ -273,8 +312,46 @@ class TestUnionBoundReport:
         assert 0.0 <= report.observed_error_rate <= 1.0
         assert report.union_bound_mean >= 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        answers=st.lists(
+            st.tuples(
+                st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=5),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        n_bins=st.integers(1, 12),
+    )
+    def test_matches_per_answer_loop(self, answers, n_bins):
+        token_scores = [tuple(ts) for ts, _ in answers]
+        correct = [ok for _, ok in answers]
+        report = union_bound_report(token_scores, correct, n_bins)
+        assert report.union_bound_mean == per_answer_union_bound(token_scores, correct, n_bins)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             union_bound_report([], [])
         with pytest.raises(ValidationError):
             union_bound_report([(1.0,)], [True, False])
+
+
+def per_answer_union_bound(token_scores, correct, n_bins):
+    """The union bound's mean, each answer's tokens binned on their own."""
+    flat = np.array([s for ts in token_scores for s in ts])
+    labels = np.array([not ok for ts, ok in zip(token_scores, correct) for _ in ts], dtype=bool)
+    lo, hi = float(flat.min()), float(flat.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, n_bins + 1)
+    idx = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, n_bins - 1)
+    rates = np.zeros(n_bins)
+    for b in range(n_bins):
+        mask = idx == b
+        rates[b] = float(labels[mask].mean()) if mask.any() else 0.0
+    per_answer = []
+    for ts in token_scores:
+        token_idx = np.clip(np.searchsorted(edges, np.asarray(ts), side="right") - 1, 0, n_bins - 1)
+        per_answer.append(float(np.minimum(rates[token_idx].sum(), 1.0)))
+    return float(np.mean(per_answer))

@@ -642,6 +642,28 @@ class TestExchangeLogAndReplay:
         assert capsys.readouterr().err.startswith(err.format(bad=bad))
         assert not (tmp_path / "o" / "replay_scores.csv").exists()
 
+    @pytest.mark.parametrize("route", ["/judge", "/speculate", "/agentic"])
+    @pytest.mark.parametrize("request_id", [None, 3, "", True, ["3"]], ids=["null", "int", "empty", "bool", "list"])
+    def test_request_id_that_is_not_a_non_empty_string_names_its_line(self, tmp_path, capsys, route, request_id):
+        # the first line alone replays as row "3"; a second id that str()
+        # would turn into "3", "None" or "" must not join or follow it
+        good = {"route": "/speculate", "request": {"id": "3"}, "response": speculate_body()}
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(good) + "\n", encoding="utf-8")
+        assert main(["replay", str(log), "--out", str(tmp_path / "good")]) == 0
+        rows = (tmp_path / "good" / "replay_scores.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["3"]
+        capsys.readouterr()
+        bad = tmp_path / "bad.jsonl"
+        entry = {"route": route, "request": {"id": request_id}, "response": speculate_body()}
+        bad.write_text(json.dumps(good) + "\n" + json.dumps(entry) + "\n", encoding="utf-8")
+        message = f"bad.jsonl:2: request id must be a non-empty string, not {request_id!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            list(iter_exchanges(bad))
+        assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {tmp_path / message}\n"
+        assert not (tmp_path / "o" / "replay_scores.csv").exists()
+
     def test_failed_live_call_is_logged_and_replayed_as_a_failure(self, stub_server, tmp_path, capsys):
         log_path = tmp_path / "exchanges.jsonl"
         backend = RemoteBackend(stub_server, top_logprobs=5, exchange_log=log_path)

@@ -4,17 +4,30 @@ The literals below are first draws recorded from the original constructions
 (substream via default_rng of the digest as an integer, sample_weighted via
 Generator.choice, latents always drawn from the "latent" stream). Any change
 to these functions must reproduce them exactly, since every synthetic output
-byte derives from them.
+byte derives from them. The batch form, substreams, and the workload builders
+that seed through it are held to substream and to the per-query workload
+loop state for state.
 """
 
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
-from spec_funnel.backends import synthetic
-from spec_funnel.backends.base import Query, substream
-from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig, agentic_step_stream, sample_weighted
+from spec_funnel.backends import base, synthetic
+from spec_funnel.backends.base import Query, substream, substreams
+from spec_funnel.backends.synthetic import (
+    CHOICES,
+    SyntheticBackend,
+    SyntheticConfig,
+    agentic_step_stream,
+    make_quota_workload,
+    make_workload,
+    sample_weighted,
+)
 from spec_funnel.errors import ValidationError
 
 
@@ -135,3 +148,98 @@ class TestLatents:
         backend = SyntheticBackend(SyntheticConfig(seed=101))
         assert backend._latents(query) == expected
         assert opened == [(query.id, "latent")]
+
+
+class TestSeedSequencePort:
+    def test_pool_and_state_match_seed_sequence(self):
+        entropy = np.random.default_rng(11).integers(0, 2**32, size=(2000, 4), dtype=np.uint32)
+        entropy[0] = 0
+        entropy[1] = 0xFFFFFFFF
+        pool = base._pool(entropy)
+        states = base._seed_states(pool)
+        assert (pool.dtype, states.dtype) == (np.uint32, np.uint64)
+        for words, row_pool, row_state in zip(entropy, pool, states):
+            seq = SeedSequence(words)
+            assert np.array_equal(row_pool, seq.pool)
+            assert np.array_equal(row_state, seq.generate_state(4, np.uint64))
+
+
+def _key_paths(count, rng):
+    """Random key paths of 0 to 4 keys: ints, query-like ids and non-ASCII
+    text, the key separator included."""
+    letters = list("xq0äβ字🙂\x1f ")
+    paths = []
+    for _ in range(count):
+        keys = []
+        for _ in range(int(rng.integers(0, 5))):
+            kind = int(rng.integers(3))
+            if kind == 0:
+                keys.append(int(rng.integers(-(10**12), 10**12)))
+            elif kind == 1:
+                keys.append(f"q{int(rng.integers(10**6)):06d}")
+            else:
+                keys.append("".join(rng.choice(letters, size=int(rng.integers(0, 6)))))
+        paths.append(tuple(keys))
+    return paths
+
+
+class TestSubstreamBatch:
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**40, 2**70])
+    def test_matches_substream_state_for_state(self, seed):
+        paths = _key_paths(2000, np.random.default_rng(abs(seed) % 2**32))
+        streams = substreams(seed, paths)
+        for keys in paths:
+            assert next(streams).bit_generator.state == substream(seed, *keys).bit_generator.state
+        assert next(streams, None) is None
+
+    def test_empty_batch(self):
+        assert list(substreams(0, [])) == []
+
+    def test_batch_of_one(self):
+        (rng,) = substreams(7, [("q000123", "speculate")])
+        assert rng.bit_generator.state == substream(7, "q000123", "speculate").bit_generator.state
+        assert rng.random() == 0.10952422060681888  # TestSubstreamBits' recorded first draw
+        with pytest.raises(ValueError):  # the seed holds PCG64's four words, nothing else
+            rng.bit_generator.seed_seq.generate_state(8)
+
+
+def _workload_oracle(config, n_queries, pin=lambda i: (None, None)):
+    """The per-query workload loop over substream, one "workload" and one
+    "truth" stream per query."""
+    queries = []
+    for i in range(n_queries):
+        requires_tools, draft_correct = pin(i)
+        qid = f"q{i:06d}"
+        rng = substream(config.seed, qid, "workload")
+        requires = bool(rng.random() < config.p_tool_required)
+        depth = sample_weighted(rng, config.depth_weights)
+        truth = CHOICES[int(substream(config.seed, qid, "truth").integers(len(CHOICES)))]
+        queries.append(
+            Query(
+                id=qid,
+                image_ref=f"synthetic://{qid}",
+                question=f"synthetic question {i}",
+                ground_truth=truth,
+                true_requires_tools=requires if requires_tools is None else requires_tools,
+                true_depth=depth,
+                true_draft_correct=draft_correct,
+            )
+        )
+    return queries
+
+
+class TestWorkloadStreams:
+    @pytest.mark.parametrize("seed", [0, 101])
+    @pytest.mark.parametrize("n_queries", [1, 2, 257])
+    def test_make_workload_matches_per_query_oracle(self, seed, n_queries):
+        config = SyntheticConfig(seed=seed)
+        assert make_workload(config, n_queries) == _workload_oracle(config, n_queries)
+
+    @pytest.mark.parametrize("seed", [0, 101])
+    @pytest.mark.parametrize("n_queries", [1, 2, 257])
+    def test_make_quota_workload_matches_per_query_oracle(self, seed, n_queries):
+        config = SyntheticConfig(seed=seed)
+        n_toolfree = int(round(Fraction("0.8") * n_queries))
+        n_accept = math.floor(Fraction("0.71") * n_toolfree)
+        expected = _workload_oracle(config, n_queries, lambda i: (i >= n_toolfree, i < n_accept))
+        assert make_quota_workload(config, n_queries, 0.8, 0.71) == expected
