@@ -17,17 +17,22 @@ sends each reply in one write of status line, Content-Type, Content-Length
 and body:
 
 - 200 with the route's JSON result;
-- 400 for a body that is not a JSON object or does not make a query (its
-  top_logprobs, 64 if absent, must be an integer >= 1), 404 for an unknown
-  route and 501 for a method other than POST, each keeping the connection;
+- 400 for a body that is not a JSON object or does not make a query: its
+  id must be a non-empty string, and its top_logprobs (64 if absent) and
+  max_steps (the served depth_cap if absent) integers >= 1; 404 for an
+  unknown route and 501 for a method other than POST, each keeping the
+  connection;
 - a framing fault's status, then close: 400 for a malformed request line,
   the status http11 names for a header block it refuses, 501 for a chunked
   body and 413 for a body over 1 MiB.
 
-A client that disconnects mid-request is dropped without a reply.
+A client that disconnects mid-request is dropped without a reply. An
+/agentic request's loop stops at its max_steps, as a backend whose
+depth_cap is max_steps would stop it.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import socketserver
@@ -36,13 +41,17 @@ from http.server import ThreadingHTTPServer
 
 from spec_funnel.backends.base import Query, integral
 from spec_funnel.backends.http11 import MAX_LINE, FramingError, framing
+from spec_funnel.backends.remote import request_id
 from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig
-from spec_funnel.errors import ValidationError
+from spec_funnel.bounds import Range, check
 
 MAX_BODY = 1 << 20
 # Logprob texts kept per server. Each row repeats the generator's fixed tail
 # and adds one new top value, so an unbounded memo would grow with every draft.
 LOGPROB_MEMO = 1024
+# Backends kept per server, one per max_steps an /agentic request asked for.
+CAPPED_BACKENDS = 16
+ROUTES = (b"/judge", b"/speculate", b"/agentic")
 
 
 def speculate_json(draft, limit: int, number) -> str:
@@ -67,6 +76,12 @@ def speculate_json(draft, limit: int, number) -> str:
 
 def make_handler(backend: SyntheticBackend):
     logprob_text = functools.lru_cache(maxsize=LOGPROB_MEMO)(json.dumps)
+
+    @functools.lru_cache(maxsize=CAPPED_BACKENDS)
+    def capped(max_steps: int) -> SyntheticBackend:
+        if max_steps == backend.config.depth_cap:
+            return backend
+        return SyntheticBackend(dataclasses.replace(backend.config, depth_cap=max_steps))
 
     class Handler(socketserver.StreamRequestHandler):
         # a reply's last segment must not wait for the client's delayed ACK
@@ -122,18 +137,20 @@ def make_handler(backend: SyntheticBackend):
             if method != b"POST":
                 error = f"unsupported method {method.decode('latin-1')}"
                 return HTTPStatus.NOT_IMPLEMENTED, json.dumps({"error": error})
+            if route not in ROUTES:
+                return HTTPStatus.NOT_FOUND, json.dumps({"error": f"unknown route {route.decode('latin-1')}"})
             try:
                 request = json.loads(data) if data else {}
                 if not isinstance(request, dict):
                     raise ValueError("not a JSON object")
                 query = Query(
-                    id=str(request.get("id", "q0")),
+                    id=request_id(request),
                     image_ref=str(request.get("image_ref", "")),
                     question=str(request.get("question", "")),
                 )
                 limit = integral(request.get("top_logprobs", 64))
-                if limit < 1:
-                    raise ValidationError("top_logprobs must be >= 1")
+                max_steps = integral(request.get("max_steps", backend.config.depth_cap))
+                check(Range(1), top_logprobs=limit, max_steps=max_steps)
             except (TypeError, ValueError, RecursionError) as exc:
                 return HTTPStatus.BAD_REQUEST, json.dumps({"error": f"bad request body: {exc}"})
             if route == b"/judge":
@@ -141,16 +158,14 @@ def make_handler(backend: SyntheticBackend):
                 body = {"g": output.g, "latency_s": output.latency_s}
             elif route == b"/speculate":
                 return HTTPStatus.OK, speculate_json(backend.speculate(query), limit, logprob_text)
-            elif route == b"/agentic":
-                output = backend.agentic_run(query)
+            else:
+                output = capped(max_steps).agentic_run(query)
                 body = {
                     "answer": output.answer,
                     "depth": output.depth,
                     "step_costs": [[llm, tool] for llm, tool in output.step_costs],
                     "latency_s": output.latency_s,
                 }
-            else:
-                return HTTPStatus.NOT_FOUND, json.dumps({"error": f"unknown route {route.decode('latin-1')}"})
             return HTTPStatus.OK, json.dumps(body)
 
         def _send(self, status: HTTPStatus, text: str, close: bool):

@@ -41,6 +41,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from ..bounds import Range, check
 from ..errors import BackendUnavailable, ValidationError
 from ..gate import AnswerLogits
 from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral, real, reals
@@ -54,6 +55,7 @@ __all__ = [
     "parse_speculate_response",
     "parse_agentic_response",
     "iter_exchanges",
+    "request_id",
     "LoggedSpeculation",
 ]
 
@@ -79,7 +81,7 @@ _LOGPROB = operator.itemgetter("logprob")
 
 
 def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
-    _check_top_logprobs(top_logprobs)
+    check(Range(1), top_logprobs=top_logprobs)
     try:
         answer = body["answer"]
         tokens = body["tokens"]
@@ -188,14 +190,11 @@ class RemoteBackend:
             raise ValidationError(
                 f"remote base URL must be http(s)://host[:port][/prefix] in printable ASCII, got {base_url!r}"
             )
+        check(Range(1), top_logprobs=top_logprobs, max_steps=max_steps)
+        check(Range(0, open=True), timeout_s=timeout_s)
         self.top_logprobs = int(top_logprobs)
         self.max_steps = int(max_steps)
         self.timeout_s = float(timeout_s)
-        _check_top_logprobs(self.top_logprobs)
-        if self.max_steps < 1:
-            raise ValidationError("max_steps must be >= 1")
-        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0.0):
-            raise ValidationError("timeout_s must be finite and > 0")
         self.judge_prompt = judge_prompt
         self._log_path = str(exchange_log) if exchange_log else None
         self._log_file = None  # opened by the first logged exchange, closed by close()
@@ -302,11 +301,6 @@ class RemoteBackend:
             },
         )
         return parse_agentic_response(body, self.max_steps)
-
-
-def _check_top_logprobs(top_logprobs: int) -> None:
-    if top_logprobs < 1:
-        raise ValidationError("top_logprobs must be >= 1")
 
 
 _CONNECTIONS = {"http": HTTPConnection, "https": HTTPSConnection}
@@ -446,6 +440,15 @@ def _readable(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])  # no poll() on Windows
 
 
+def request_id(request: dict) -> str:
+    """The id of a request on the wire: a non-empty string, as the client
+    sends Query.id. Any other id, or none, is a ValidationError."""
+    value = request.get("id")
+    if isinstance(value, str) and value:
+        return value
+    raise ValidationError(f"request id must be a non-empty string, not {value!r}")
+
+
 def iter_exchanges(path):
     """Yield logged exchanges, one JSON object a line, from a file. An
     unreadable file, and a line that is not a JSON object or lacks a route,
@@ -466,9 +469,10 @@ def iter_exchanges(path):
                 request = entry.get("request")
                 if not ("route" in entry and "response" in entry and isinstance(request, dict) and "id" in request):
                     raise ValidationError(f"{path}:{line_no}: entry needs a route, a request id and a response")
-                request_id = request["id"]
-                if not (isinstance(request_id, str) and request_id):
-                    raise ValidationError(f"{path}:{line_no}: request id must be a non-empty string, not {request_id!r}")
+                try:
+                    request_id(request)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{line_no}: {exc}") from None
                 yield entry
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"unreadable exchange log {path}: {exc}") from exc

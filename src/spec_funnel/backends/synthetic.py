@@ -17,7 +17,7 @@ from typing import Annotated, Mapping
 
 import numpy as np
 
-from ..bounds import Range, check_bounds
+from ..bounds import UNIT, Range, check, check_bounds
 from ..errors import ValidationError
 from ..gate import AnswerLogits, TokenLogits
 from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, substream, substreams
@@ -137,8 +137,7 @@ def sample_weighted(rng: np.random.Generator, weights: Mapping[int, float]) -> i
 def _tail_stats(width: int) -> tuple[np.ndarray, float, float]:
     cached = _TAIL_CACHE.get(width)
     if cached is None:
-        if width < 1:
-            raise ValidationError("tail width must be >= 1")
+        check(Range(1), tail_width=width)
         tail = -TAIL_SCALE * TAIL_DECAY ** np.arange(width - 1, -1, -1, dtype=np.float64)
         s = float(tail.sum())
         q = float((tail * tail).sum())
@@ -157,8 +156,7 @@ def margin_vector(margin: float, width: int) -> TokenLogits:
     (the mathematical ceiling of the score) and at least the tail floor,
     reached when the top logit ties the runner-up.
     """
-    if width < 2:
-        raise ValidationError("need at least two logits per token")
+    check(Range(2), width=width)
     return TokenLogits(_margin_rows([margin], width)[0])
 
 
@@ -284,8 +282,7 @@ class SyntheticBackend:
 
 def make_workload(config: SyntheticConfig, n_queries: int) -> list[Query]:
     """Bernoulli workload: latent flags sampled from the configured priors."""
-    if n_queries < 1:
-        raise ValidationError("workload must contain at least one query")
+    check(Range(1), n_queries=n_queries)
     return _workload(config, [(None, None)] * n_queries)
 
 
@@ -343,11 +340,8 @@ def make_quota_workload(
     to lie between the two pinned class scores; validate_quota_gate checks
     this against a concrete GateConfig.
     """
-    if n_queries < 1:
-        raise ValidationError("workload must contain at least one query")
-    for name, value in (("toolfree_fraction", toolfree_fraction), ("accept_fraction", accept_fraction)):
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1]")
+    check(Range(1), n_queries=n_queries)
+    check(UNIT, toolfree_fraction=toolfree_fraction, accept_fraction=accept_fraction)
     n_toolfree = int(round(Fraction(str(toolfree_fraction)) * n_queries))
     n_accept = math.floor(Fraction(str(accept_fraction)) * n_toolfree)
     # n_accept <= n_toolfree, so every accepted query is screened tool-free

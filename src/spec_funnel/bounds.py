@@ -1,6 +1,7 @@
-"""Which numbers a config field accepts, declared on the field, as in
-`tau: Annotated[float, Range(0, 1, open=True)]`, and checked by
-check_bounds(self) in the dataclass's __post_init__."""
+"""Which numbers an argument or a config field accepts: a Range, checked
+for named arguments by check(Range(1), k=k), and for a dataclass's fields,
+declared on each as in `tau: Annotated[float, Range(0, 1, open=True)]`, by
+check_bounds(self) in its __post_init__."""
 
 import functools
 import math
@@ -11,7 +12,7 @@ from typing import get_type_hints
 
 from .errors import ValidationError
 
-__all__ = ["Range", "FINITE", "check_bounds"]
+__all__ = ["Range", "FINITE", "UNIT", "check", "check_bounds"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,7 @@ class Range:
 
 
 FINITE = Range()
+UNIT = Range(0, 1)
 
 
 @functools.cache
@@ -46,18 +48,24 @@ def _ranges(cls) -> dict[str, Range]:
     }
 
 
-def check_bounds(obj) -> None:
-    """Hold each number in a field of dataclass `obj`, tuple items and
-    mapping values one by one, to the field's Range, or to FINITE when it
-    declares none."""
-    for name, bounds in _ranges(type(obj)).items():
-        value = getattr(obj, name)
+def check(bounds: Range, **values) -> None:
+    """Hold each named number, and the items of a tuple or list and the
+    values of a mapping one by one, to `bounds`; a value that is not a
+    number is left to its user. A NaN lies in no Range."""
+    for name, value in values.items():
         if isinstance(value, Mapping):
-            entries = [(f"{name}.{k}", v) for k, v in value.items()]
+            items, label = value.items(), "{}.{}"
         elif isinstance(value, (tuple, list)):
-            entries = [(f"{name}[{i}]", v) for i, v in enumerate(value)]
+            items, label = enumerate(value), "{}[{}]"
         else:
-            entries = [(name, value)]
-        for label, v in entries:
+            items, label = ((None, value),), "{}"
+        for key, v in items:
             if isinstance(v, Real) and v not in bounds:
-                raise ValidationError(f"{label} must lie in {bounds}")
+                raise ValidationError(f"{label.format(name, key)} must lie in {bounds}")
+
+
+def check_bounds(obj) -> None:
+    """check each field of dataclass `obj` against the field's Range, or
+    against FINITE when it declares none."""
+    for name, bounds in _ranges(type(obj)).items():
+        check(bounds, **{name: getattr(obj, name)})

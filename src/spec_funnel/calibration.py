@@ -14,6 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .backends.base import Backend, Query
+from .bounds import UNIT, Range, check
 from .errors import DegenerateDistribution, InfiniteSpeedup, ValidationError
 from .funnel import speedup_model
 from .gate import GateConfig, Scoring, gate
@@ -98,10 +99,8 @@ class OperatingPoint:
     expected_latency_s: float
 
     def __post_init__(self):
-        if not 0.0 <= self.acceptance_rate <= 1.0:
-            raise ValidationError("acceptance_rate must lie in [0, 1]")
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValidationError("accuracy must lie in [0, 1]")
+        # not check_bounds: a fully bypassed point's analytic_speedup is inf
+        check(UNIT, acceptance_rate=self.acceptance_rate, accuracy=self.accuracy)
 
 
 @dataclass(frozen=True)
@@ -256,8 +255,7 @@ def default_tau_grid(scores, n_taus: int = 33) -> list[float]:
     x = np.asarray(list(scores), dtype=np.float64)
     if x.size == 0:
         raise ValidationError("need at least one score")
-    if n_taus < 1:
-        raise ValidationError("n_taus must be >= 1")
+    check(Range(1), n_taus=n_taus)
     return [float(t) for t in np.linspace(float(x.min()), float(x.max()), n_taus)]
 
 
@@ -289,10 +287,7 @@ def sweep_threshold(
     taus = [float(t) for t in taus]
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError("taus must be sorted ascending")
-    if not 0.0 <= beta <= 1.0:
-        raise ValidationError("beta must lie in [0, 1]")
-    if not 0.0 <= fallback_accuracy <= 1.0:
-        raise ValidationError("fallback_accuracy must lie in [0, 1]")
+    check(UNIT, beta=beta, fallback_accuracy=fallback_accuracy)
     scores = np.array([s.score for s in samples])
     correct = np.array([s.correct for s in samples], dtype=bool)
     points = []
@@ -353,8 +348,7 @@ def union_bound_report(token_scores, correct, n_bins: int = 10) -> UnionBoundRep
     correct = [bool(c) for c in correct]
     if len(token_scores) != len(correct) or not token_scores:
         raise ValidationError("need matching, non-empty token scores and labels")
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
+    check(Range(1), n_bins=n_bins)
     flat = np.array([s for ts in token_scores for s in ts])
     labels = np.array([not ok for ts, ok in zip(token_scores, correct) for _ in ts], dtype=bool)
     lo, hi = float(flat.min()), float(flat.max())

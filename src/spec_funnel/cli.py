@@ -378,12 +378,14 @@ def cmd_report(run_dir: str) -> int:
     if not outcomes_path.exists():
         raise ConfigError(f"no outcomes.jsonl under {run_dir}")
     stats = None
+    reading = outcomes_path
     try:
         outcomes = [outcome_from_dict(r) for r in read_jsonl(outcomes_path)]
+        reading = stats_path
         if stats_path.exists():
             stats = stats_from_dict(json.loads(stats_path.read_text(encoding="utf-8")))
     except (OSError, ValueError, RecursionError, ConfigError) as exc:
-        raise ConfigError(f"unreadable record under {run_dir}: {exc}") from exc
+        raise ConfigError(f"unreadable record in {reading}: {exc}") from exc
     if not outcomes:
         raise ConfigError(f"no outcome records in {outcomes_path}")
     by_path = Counter(o.path.value for o in outcomes)

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Annotated
 
 from .backends.base import Backend, Query
-from .bounds import Range, check_bounds
+from .bounds import UNIT, Range, check, check_bounds
 from .errors import InfiniteSpeedup, ValidationError
 from .gate import GateConfig
 # process_query stays importable here: perfbench/tracing.py wraps funnel.process_query by name
@@ -108,9 +108,7 @@ def speedup_model(beta: float, alpha: float) -> float:
     Diverges when every query is bypassed; that case raises InfiniteSpeedup
     and callers should report front-end-bound throughput instead.
     """
-    for name, value in (("beta", beta), ("alpha", alpha)):
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1]")
+    check(UNIT, beta=beta, alpha=alpha)
     bypassed = beta * alpha
     if bypassed >= 1.0:
         raise InfiniteSpeedup("every query is bypassed; the residual set is empty")
@@ -122,8 +120,7 @@ def throughput_bound(latencies) -> float:
     values = list(latencies)
     if not values:
         raise ValidationError("need at least one latency")
-    if any(v <= 0.0 for v in values):
-        raise ValidationError("latencies must be > 0")
+    check(Range(0, open=True), latencies=values)
     return len(values) / math.fsum(values)
 
 

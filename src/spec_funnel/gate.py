@@ -21,7 +21,7 @@ from typing import Annotated, Sequence
 
 import numpy as np
 
-from .bounds import Range, check_bounds
+from .bounds import Range, check, check_bounds
 from .errors import EmptyAnswerError, ValidationError
 
 __all__ = [
@@ -192,10 +192,8 @@ def token_separability(logits: TokenLogits, k: int = 64, epsilon: float = 1e-6) 
     If fewer than k logits were retained, the window clamps to what is
     available (gate() records a diagnostic for that condition).
     """
-    if k < 1:
-        raise ValidationError("k must be positive")
-    if epsilon < 0.0 or not math.isfinite(epsilon):
-        raise ValidationError("epsilon must be non-negative and finite")
+    check(Range(1), k=k)
+    check(Range(0), epsilon=epsilon)
     window = logits.values[: min(k, len(logits))]
     if window[0] == window[-1]:
         # flat window (sorted, so ends equal means all equal): exact zero,
@@ -281,8 +279,7 @@ def normalize(raw_score: float) -> float:
 
 def logit(probability: float) -> float:
     """Inverse of normalize() on (0, 1)."""
-    if not 0.0 < probability < 1.0:
-        raise ValidationError("probability must lie strictly inside (0, 1)")
+    check(Range(0, 1, open=True), probability=probability)
     return math.log(probability / (1.0 - probability))
 
 

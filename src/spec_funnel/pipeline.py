@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .backends.base import Backend, Query
+from .bounds import UNIT, Range, check
 from .errors import BackendUnavailable, ValidationError
 from .gate import GateConfig, GateDecision, gate
 
@@ -191,16 +192,8 @@ def expected_latency(
     pays the draft; the (1 - beta * alpha) fraction that is not accepted
     pays the full agentic cost.
     """
-    for name, value in (("beta", beta), ("alpha", alpha)):
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1]")
-    for name, value in (
-        ("judge_cost_s", judge_cost_s),
-        ("speculate_cost_s", speculate_cost_s),
-        ("agentic_mean_s", agentic_mean_s),
-    ):
-        if value < 0.0 or not math.isfinite(value):
-            raise ValidationError(f"{name} must be a finite non-negative real")
+    check(UNIT, beta=beta, alpha=alpha)
+    check(Range(0), judge_cost_s=judge_cost_s, speculate_cost_s=speculate_cost_s, agentic_mean_s=agentic_mean_s)
     return judge_cost_s + beta * speculate_cost_s + (1.0 - beta * alpha) * agentic_mean_s
 
 

@@ -193,6 +193,13 @@ class TestWorkloads:
         expected = 0.7 * 0.92 + 0.3 * 0.08
         assert abs(g0 / len(queries) - expected) <= 0.02
 
+    @pytest.mark.parametrize("n_queries", [0, math.nan])
+    def test_empty_workload_rejected(self, synthetic_config, n_queries):
+        with pytest.raises(ValidationError, match="n_queries"):
+            make_workload(synthetic_config, n_queries)
+        with pytest.raises(ValidationError, match="n_queries"):
+            make_quota_workload(synthetic_config, n_queries, 0.8, 0.71)
+
     def test_workload_reproducible(self, synthetic_config):
         assert make_workload(synthetic_config, 50) == make_workload(synthetic_config, 50)
 
@@ -239,6 +246,13 @@ class TestMarginGenerator:
         assert high <= ceiling
         low = token_separability(margin_vector(0.0, 64), 64, 0.0)
         assert low == pytest.approx(separability_floor(64), abs=1e-9)
+
+    @pytest.mark.parametrize("width", [1, math.nan])
+    def test_width_below_two_rejected(self, width):
+        with pytest.raises(ValidationError, match=r"width must lie in \[2, inf\)"):
+            margin_vector(1.0, width)
+        with pytest.raises(ValidationError, match=r"tail_width must lie in \[1, inf\)"):
+            separability_floor(width)
 
     def test_vectors_sorted_descending(self):
         for margin in (0.0, 0.3, 5.0):

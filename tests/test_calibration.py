@@ -191,6 +191,10 @@ class TestSweepThreshold:
         assert points[0].accuracy == pytest.approx(0.9, abs=1e-12)
         assert points[0].analytic_speedup == 1.0
 
+    def test_full_bypass_point_reports_inf_speedup(self):
+        points = sweep_threshold(self.samples(), [0.1], CostSummary(0.1, 0.5, 10.0), beta=1.0, fallback_accuracy=0.9)
+        assert points[0].acceptance_rate == 1.0 and points[0].analytic_speedup == math.inf
+
     def test_acceptance_non_increasing(self, synthetic_config, gate_config):
         backend = SyntheticBackend(synthetic_config)
         queries = make_workload(synthetic_config, 400)
@@ -212,6 +216,19 @@ class TestSweepThreshold:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):
             sweep_threshold([], [0.5], CostSummary(0.1, 0.5, 10.0), 0.8, 0.9)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: default_tau_grid([0.2, 0.8], n_taus=math.nan),
+            lambda: union_bound_report([(0.2, 0.5), (0.9,)], [False, True], n_bins=math.nan),
+        ],
+        ids=["n_taus", "n_bins"],
+    )
+    def test_nan_count_rejected(self, call):
+        # NaN passed the old `< 1` tests and failed later as a TypeError
+        with pytest.raises(ValidationError, match=r"must lie in \[1, inf\)"):
+            call()
 
 
 class TestChooseThreshold:

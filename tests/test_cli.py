@@ -2,6 +2,7 @@
 reproducibility, exit codes, and pinned CSV headers."""
 
 import json
+import shutil
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -62,6 +63,24 @@ class TestConfig:
         path.write_text(json.dumps({"gate": {"bogus": 1}}), encoding="utf-8")
         with pytest.raises(ConfigError, match="gate"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--set", "gate.tau"], "gate.tau: --set expects path=value"),
+            (["--set", " . =0.5"], " . =0.5: --set expects a non-empty dotted path"),
+            (["--set", "=0.5"], "=0.5: --set expects a non-empty dotted path"),
+            (["--config", "LIST"], "config file must hold a JSON object"),
+        ],
+        ids=["no_equals", "dots_only", "empty_path", "config_list"],
+    )
+    def test_malformed_override_or_config_file_exits_2(self, tmp_path, capsys, args, message):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        args = [str(path) if a == "LIST" else a for a in args]
+        assert main(["run", "--out", str(tmp_path / "o"), *args]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_override_parses_json_then_string(self):
         raw = {}
@@ -564,7 +583,71 @@ class TestDeeplyNestedInput:
         assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report") / "run"
+    assert main(["run", "--out", str(out), "--seed", "3", *SMALL]) == 0
+    return out
+
+
+ACCEPTED, TOOL_REQUIRED = "speculation_accepted", "judged_tool_required_fallback"
+
+
+def _first(records, path):
+    return next(r for r in records if r["path"] == path)
+
+
+def _add_latency(record, phase, seconds):
+    record["latency_breakdown"][phase] += seconds
+    record["total_latency_s"] += seconds
+
+
+# the FunnelStats identity each edit breaks; "residual must equal batch minus
+# accepted" is implied by the three before it, so no edit reaches it alone
+BROKEN_STATS = {
+    "screen counts must partition the batch": lambda s: s.update(n_toolreq=s["n_toolreq"] + 1),
+    "gate counts must partition the tool-free set": lambda s: s.update(n_rejected=s["n_rejected"] + 1),
+    "residual must equal rejected plus tool-required": lambda s: s.update(n_residual=s["n_residual"] + 1),
+    "beta_hat must equal n_toolfree / batch_size": lambda s: s.update(beta_hat=0.5),
+    "alpha_hat must equal n_accepted / n_toolfree": lambda s: s.update(alpha_hat=0.5),
+    "throughput must equal batch_size / batch_makespan": lambda s: s.update(throughput_qps=s["throughput_qps"] * 2),
+    "throughput is undefined for a zero makespan": lambda s: s.update(batch_makespan_s=0.0),
+    "speedup must equal baseline / batch makespan": lambda s: s.update(speedup=s["speedup"] * 2),
+}
+
+# the QueryOutcome invariant each edit of the outcome records breaks
+BROKEN_OUTCOMES = {
+    "total latency must equal the phase sum": lambda rs: rs[0].update(total_latency_s=rs[0]["total_latency_s"] + 1),
+    "accepted path requires an accepting gate decision": lambda rs: _first(rs, ACCEPTED).update(gate=None),
+    "accepted path must not carry agentic latency": lambda rs: _add_latency(_first(rs, ACCEPTED), "agentic_s", 1.0),
+    "tool-required path never reaches the gate": lambda rs: _first(rs, TOOL_REQUIRED).update(
+        gate=_first(rs, ACCEPTED)["gate"]
+    ),
+    "tool-required path never speculates": lambda rs: _add_latency(_first(rs, TOOL_REQUIRED), "speculate_s", 0.25),
+}
+
+
 class TestReportRecords:
+    @pytest.mark.parametrize("message", BROKEN_STATS)
+    def test_report_refuses_stats_that_break_an_identity(self, run_dir, tmp_path, capsys, message):
+        out = shutil.copytree(run_dir, tmp_path / "run")
+        stats = json.loads((out / "funnel_stats.json").read_text(encoding="utf-8"))
+        BROKEN_STATS[message](stats)
+        (out / "funnel_stats.json").write_text(json.dumps(stats), encoding="utf-8")
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unreadable record in {out / 'funnel_stats.json'}: ") and message in err
+
+    @pytest.mark.parametrize("message", BROKEN_OUTCOMES)
+    def test_report_refuses_an_outcome_that_breaks_an_invariant(self, run_dir, tmp_path, capsys, message):
+        out = shutil.copytree(run_dir, tmp_path / "run")
+        records = read_jsonl(out / "outcomes.jsonl")
+        BROKEN_OUTCOMES[message](records)
+        (out / "outcomes.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unreadable record in {out / 'outcomes.jsonl'}: ") and message in err
+
     def test_report_on_outcome_with_unknown_key(self, tmp_path, capsys):
         out = tmp_path / "run"
         main(["run", "--out", str(out), "--seed", "3", *SMALL])

@@ -74,6 +74,12 @@ class TestThroughputBound:
         with pytest.raises(ValidationError):
             throughput_bound([1.0, 0.0])
 
+    @pytest.mark.parametrize("latencies", [[math.nan], [1.0, math.inf], [2.0, -math.inf]])
+    def test_non_finite_latency_rejected(self, latencies):
+        # a NaN used to give a NaN bound, and an inf a bound of 0.0
+        with pytest.raises(ValidationError, match=r"latencies\[\d\] must lie in \(0, inf\)"):
+            throughput_bound(latencies)
+
 
 class TestScheduling:
     def test_wave_makespan_constant_costs(self):

@@ -125,6 +125,11 @@ class TestTokenSeparability:
         with pytest.raises(ValidationError):
             token_separability(tl(1.0, 0.0), k=2, epsilon=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"k": math.nan}, {"epsilon": math.nan}, {"epsilon": math.inf}])
+    def test_non_finite_args_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            token_separability(tl(1.0, 0.0), **kwargs)
+
 
 class TestMaxSoftmaxProb:
     def test_symmetric_pair(self):

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
@@ -159,9 +160,11 @@ def test_simulated_batch_uses_one_connection(served, make_client):
     assert served.connections == 1
 
 
+@pytest.mark.parametrize("max_steps", [SyntheticConfig().depth_cap, 2])
 @pytest.mark.parametrize("top_logprobs", [64, 7])
-def test_wire_results_equal_the_served_backend(served, make_client, top_logprobs):
-    client = make_client(top_logprobs=top_logprobs, max_steps=SyntheticConfig().depth_cap)
+def test_wire_results_equal_the_served_backend(served, make_client, top_logprobs, max_steps):
+    client = make_client(top_logprobs=top_logprobs, max_steps=max_steps)
+    capped = SyntheticBackend(replace(served.backend.config, depth_cap=max_steps))
     for query in _workload(30):
         wire = Query(id=query.id, image_ref=query.image_ref, question=query.question)
         assert client.judge(query) == served.backend.judge(wire)
@@ -172,7 +175,7 @@ def test_wire_results_equal_the_served_backend(served, make_client, top_logprobs
         np.testing.assert_array_equal(remote.token_logits.lengths, kept)
         np.testing.assert_array_equal(remote.token_logits.values, local.token_logits.values[:, :top_logprobs])
 
-        remote, local = client.agentic_run(query), served.backend.agentic_run(wire)
+        remote, local = client.agentic_run(query), capped.agentic_run(wire)
         assert (remote.answer, remote.depth, remote.step_costs, remote.latency_s) == (
             local.answer,
             local.depth,
@@ -204,6 +207,14 @@ def test_unknown_route_is_404_and_keeps_the_connection(served, connection):
         ("/speculate", b'{"id": "q1", "top_logprobs": true}'),
         ("/speculate", b'{"id": "q1", "top_logprobs": "5"}'),
         ("/speculate", b'{"id": "q1", "top_logprobs": 2.5}'),
+        ("/agentic", b'{"id": "q1", "max_steps": "x"}'),
+        ("/agentic", b'{"id": "q1", "max_steps": 0}'),
+        ("/agentic", b'{"id": "q1", "max_steps": 1.5}'),
+        ("/agentic", b'{"id": "q1", "max_steps": null}'),
+        ("/judge", b'{"id": 3}'),
+        ("/judge", b'{"id": null}'),
+        ("/judge", b"{}"),
+        ("/speculate", b'{"id": ["q1"]}'),
     ],
 )
 def test_bad_request_body_is_400_and_keeps_the_connection(served, connection, route, body):
