@@ -18,10 +18,10 @@ and body:
 
 - 200 with the route's JSON result;
 - 400 for a body that is not a JSON object or does not make a query: its
-  id must be a non-empty string, and its top_logprobs (64 if absent) and
-  max_steps (the served depth_cap if absent) integers >= 1; 404 for an
-  unknown route and 501 for a method other than POST, each keeping the
-  connection;
+  id must be a non-empty string, and a /speculate request's top_logprobs
+  (64 if absent) and an /agentic request's max_steps (the served depth_cap
+  if absent) integers >= 1; 404 for an unknown route and 501 for a method
+  other than POST, each keeping the connection;
 - a framing fault's status, then close: 400 for a malformed request line,
   the status http11 names for a header block it refuses, 501 for a chunked
   body and 413 for a body over 1 MiB.
@@ -43,14 +43,12 @@ from spec_funnel.backends.base import Query, integral
 from spec_funnel.backends.http11 import MAX_LINE, FramingError, framing
 from spec_funnel.backends.remote import request_id
 from spec_funnel.backends.synthetic import SyntheticBackend, SyntheticConfig
-from spec_funnel.bounds import Range, check
+from spec_funnel.bounds import COUNT, check
 
 MAX_BODY = 1 << 20
 # Logprob texts kept per server. Each row repeats the generator's fixed tail
 # and adds one new top value, so an unbounded memo would grow with every draft.
 LOGPROB_MEMO = 1024
-# Backends kept per server, one per max_steps an /agentic request asked for.
-CAPPED_BACKENDS = 16
 ROUTES = (b"/judge", b"/speculate", b"/agentic")
 
 
@@ -76,12 +74,6 @@ def speculate_json(draft, limit: int, number) -> str:
 
 def make_handler(backend: SyntheticBackend):
     logprob_text = functools.lru_cache(maxsize=LOGPROB_MEMO)(json.dumps)
-
-    @functools.lru_cache(maxsize=CAPPED_BACKENDS)
-    def capped(max_steps: int) -> SyntheticBackend:
-        if max_steps == backend.config.depth_cap:
-            return backend
-        return SyntheticBackend(dataclasses.replace(backend.config, depth_cap=max_steps))
 
     class Handler(socketserver.StreamRequestHandler):
         # a reply's last segment must not wait for the client's delayed ACK
@@ -148,9 +140,12 @@ def make_handler(backend: SyntheticBackend):
                     image_ref=str(request.get("image_ref", "")),
                     question=str(request.get("question", "")),
                 )
-                limit = integral(request.get("top_logprobs", 64))
-                max_steps = integral(request.get("max_steps", backend.config.depth_cap))
-                check(Range(1), top_logprobs=limit, max_steps=max_steps)
+                if route == b"/speculate":
+                    limit = integral(request.get("top_logprobs", 64))
+                    check(COUNT, top_logprobs=limit)
+                elif route == b"/agentic":
+                    max_steps = integral(request.get("max_steps", backend.config.depth_cap))
+                    check(COUNT, max_steps=max_steps)
             except (TypeError, ValueError, RecursionError) as exc:
                 return HTTPStatus.BAD_REQUEST, json.dumps({"error": f"bad request body: {exc}"})
             if route == b"/judge":
@@ -159,7 +154,12 @@ def make_handler(backend: SyntheticBackend):
             elif route == b"/speculate":
                 return HTTPStatus.OK, speculate_json(backend.speculate(query), limit, logprob_text)
             else:
-                output = capped(max_steps).agentic_run(query)
+                served = (
+                    backend
+                    if max_steps == backend.config.depth_cap
+                    else SyntheticBackend(dataclasses.replace(backend.config, depth_cap=max_steps))
+                )
+                output = served.agentic_run(query)
                 body = {
                     "answer": output.answer,
                     "depth": output.depth,

@@ -41,7 +41,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from ..bounds import Range, check
+from ..bounds import COUNT, Range, check
 from ..errors import BackendUnavailable, ValidationError
 from ..gate import AnswerLogits
 from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, integral, real, reals
@@ -81,7 +81,7 @@ _LOGPROB = operator.itemgetter("logprob")
 
 
 def parse_speculate_response(body, top_logprobs: int) -> SpeculativeAnswer:
-    check(Range(1), top_logprobs=top_logprobs)
+    check(COUNT, top_logprobs=top_logprobs)
     try:
         answer = body["answer"]
         tokens = body["tokens"]
@@ -190,11 +190,11 @@ class RemoteBackend:
             raise ValidationError(
                 f"remote base URL must be http(s)://host[:port][/prefix] in printable ASCII, got {base_url!r}"
             )
-        check(Range(1), top_logprobs=top_logprobs, max_steps=max_steps)
-        check(Range(0, open=True), timeout_s=timeout_s)
-        self.top_logprobs = int(top_logprobs)
-        self.max_steps = int(max_steps)
+        self.top_logprobs = integral(top_logprobs)
+        self.max_steps = integral(max_steps)
         self.timeout_s = float(timeout_s)
+        check(COUNT, top_logprobs=self.top_logprobs, max_steps=self.max_steps)
+        check(Range(0, open=True), timeout_s=self.timeout_s)
         self.judge_prompt = judge_prompt
         self._log_path = str(exchange_log) if exchange_log else None
         self._log_file = None  # opened by the first logged exchange, closed by close()

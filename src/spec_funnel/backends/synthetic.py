@@ -17,7 +17,7 @@ from typing import Annotated, Mapping
 
 import numpy as np
 
-from ..bounds import UNIT, Range, check, check_bounds
+from ..bounds import COUNT, UNIT, Range, check, check_bounds
 from ..errors import ValidationError
 from ..gate import AnswerLogits, TokenLogits
 from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, substream, substreams
@@ -137,7 +137,7 @@ def sample_weighted(rng: np.random.Generator, weights: Mapping[int, float]) -> i
 def _tail_stats(width: int) -> tuple[np.ndarray, float, float]:
     cached = _TAIL_CACHE.get(width)
     if cached is None:
-        check(Range(1), tail_width=width)
+        check(COUNT, tail_width=width)
         tail = -TAIL_SCALE * TAIL_DECAY ** np.arange(width - 1, -1, -1, dtype=np.float64)
         s = float(tail.sum())
         q = float((tail * tail).sum())
@@ -282,7 +282,7 @@ class SyntheticBackend:
 
 def make_workload(config: SyntheticConfig, n_queries: int) -> list[Query]:
     """Bernoulli workload: latent flags sampled from the configured priors."""
-    check(Range(1), n_queries=n_queries)
+    check(COUNT, n_queries=n_queries)
     return _workload(config, [(None, None)] * n_queries)
 
 
@@ -340,7 +340,7 @@ def make_quota_workload(
     to lie between the two pinned class scores; validate_quota_gate checks
     this against a concrete GateConfig.
     """
-    check(Range(1), n_queries=n_queries)
+    check(COUNT, n_queries=n_queries)
     check(UNIT, toolfree_fraction=toolfree_fraction, accept_fraction=accept_fraction)
     n_toolfree = int(round(Fraction(str(toolfree_fraction)) * n_queries))
     n_accept = math.floor(Fraction(str(accept_fraction)) * n_toolfree)

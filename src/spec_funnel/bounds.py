@@ -1,5 +1,5 @@
 """Which numbers an argument or a config field accepts: a Range, checked
-for named arguments by check(Range(1), k=k), and for a dataclass's fields,
+for named arguments by check(COUNT, k=k), and for a dataclass's fields,
 declared on each as in `tau: Annotated[float, Range(0, 1, open=True)]`, by
 check_bounds(self) in its __post_init__."""
 
@@ -12,7 +12,7 @@ from typing import get_type_hints
 
 from .errors import ValidationError
 
-__all__ = ["Range", "FINITE", "UNIT", "check", "check_bounds"]
+__all__ = ["Range", "FINITE", "UNIT", "COUNT", "check", "check_bounds"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class Range:
 
 FINITE = Range()
 UNIT = Range(0, 1)
+COUNT = Range(1)
 
 
 @functools.cache

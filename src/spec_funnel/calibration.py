@@ -14,7 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .backends.base import Backend, Query
-from .bounds import UNIT, Range, check
+from .bounds import COUNT, UNIT, check
 from .errors import DegenerateDistribution, InfiniteSpeedup, ValidationError
 from .funnel import speedup_model
 from .gate import GateConfig, Scoring, gate
@@ -255,7 +255,7 @@ def default_tau_grid(scores, n_taus: int = 33) -> list[float]:
     x = np.asarray(list(scores), dtype=np.float64)
     if x.size == 0:
         raise ValidationError("need at least one score")
-    check(Range(1), n_taus=n_taus)
+    check(COUNT, n_taus=n_taus)
     return [float(t) for t in np.linspace(float(x.min()), float(x.max()), n_taus)]
 
 
@@ -348,7 +348,7 @@ def union_bound_report(token_scores, correct, n_bins: int = 10) -> UnionBoundRep
     correct = [bool(c) for c in correct]
     if len(token_scores) != len(correct) or not token_scores:
         raise ValidationError("need matching, non-empty token scores and labels")
-    check(Range(1), n_bins=n_bins)
+    check(COUNT, n_bins=n_bins)
     flat = np.array([s for ts in token_scores for s in ts])
     labels = np.array([not ok for ts, ok in zip(token_scores, correct) for _ in ts], dtype=bool)
     lo, hi = float(flat.min()), float(flat.max())

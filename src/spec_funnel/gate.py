@@ -21,7 +21,7 @@ from typing import Annotated, Sequence
 
 import numpy as np
 
-from .bounds import Range, check, check_bounds
+from .bounds import COUNT, Range, check, check_bounds
 from .errors import EmptyAnswerError, ValidationError
 
 __all__ = [
@@ -192,7 +192,7 @@ def token_separability(logits: TokenLogits, k: int = 64, epsilon: float = 1e-6) 
     If fewer than k logits were retained, the window clamps to what is
     available (gate() records a diagnostic for that condition).
     """
-    check(Range(1), k=k)
+    check(COUNT, k=k)
     check(Range(0), epsilon=epsilon)
     window = logits.values[: min(k, len(logits))]
     if window[0] == window[-1]:

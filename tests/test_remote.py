@@ -570,6 +570,15 @@ class TestSettingsRejectedUpFront:
             {"timeout_s": -1.0},
             {"timeout_s": math.nan},
             {"timeout_s": math.inf},
+            {"top_logprobs": math.nan},
+            {"top_logprobs": 2.5},
+            {"top_logprobs": "0"},
+            {"top_logprobs": "64"},
+            {"max_steps": math.inf},
+            {"max_steps": "0"},
+            {"timeout_s": "0"},
+            {"timeout_s": "nan"},
+            {"timeout_s": "inf"},
         ],
     )
     def test_bad_setting_rejected_by_the_constructor(self, kwargs):
