@@ -266,41 +266,18 @@ class RemoteBackend:
                 self._close_log = weakref.finalize(self, self._log_file.close)  # also when freed unclosed
             self._log_file.write(line + "\n")
 
+    def _ask(self, route: str, query: Query, **extra) -> dict:
+        return self._post(route, {"id": query.id, "image_ref": query.image_ref, "question": query.question, **extra})
+
     def judge(self, query: Query) -> JudgeOutput:
-        body = self._post(
-            "/judge",
-            {
-                "id": query.id,
-                "image_ref": query.image_ref,
-                "question": query.question,
-                "prompt": self.judge_prompt,
-            },
-        )
-        return parse_judge_response(body)
+        return parse_judge_response(self._ask("/judge", query, prompt=self.judge_prompt))
 
     def speculate(self, query: Query) -> SpeculativeAnswer:
-        body = self._post(
-            "/speculate",
-            {
-                "id": query.id,
-                "image_ref": query.image_ref,
-                "question": query.question,
-                "top_logprobs": self.top_logprobs,
-            },
-        )
+        body = self._ask("/speculate", query, top_logprobs=self.top_logprobs)
         return parse_speculate_response(body, self.top_logprobs)
 
     def agentic_run(self, query: Query) -> AgenticOutput:
-        body = self._post(
-            "/agentic",
-            {
-                "id": query.id,
-                "image_ref": query.image_ref,
-                "question": query.question,
-                "max_steps": self.max_steps,
-            },
-        )
-        return parse_agentic_response(body, self.max_steps)
+        return parse_agentic_response(self._ask("/agentic", query, max_steps=self.max_steps), self.max_steps)
 
 
 _CONNECTIONS = {"http": HTTPConnection, "https": HTTPSConnection}

@@ -30,6 +30,7 @@ __all__ = [
     "make_quota_workload",
     "margin_vector",
     "separability_floor",
+    "validate_quota_gate",
     "agentic_step_stream",
     "sample_weighted",
     "wrong_answer",
@@ -43,9 +44,6 @@ CHOICES = "ABCD"
 # tail near the runner-up, so low margins stay representable.
 TAIL_SCALE = 8.0
 TAIL_DECAY = 0.7
-
-_TAIL_CACHE: dict[int, tuple[np.ndarray, float, float]] = {}
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -134,18 +132,14 @@ def sample_weighted(rng: np.random.Generator, weights: Mapping[int, float]) -> i
     return int(values[bisect_right(cdf, rng.random())])
 
 
+@functools.cache
 def _tail_stats(width: int) -> tuple[np.ndarray, float, float]:
-    cached = _TAIL_CACHE.get(width)
-    if cached is None:
-        check(COUNT, tail_width=width)
-        tail = -TAIL_SCALE * TAIL_DECAY ** np.arange(width - 1, -1, -1, dtype=np.float64)
-        s = float(tail.sum())
-        q = float((tail * tail).sum())
-        n = width + 1
-        c = n * q - s * s * n / (n - 1)
-        cached = (tail, s, c)
-        _TAIL_CACHE[width] = cached
-    return cached
+    check(COUNT, tail_width=width)
+    tail = -TAIL_SCALE * TAIL_DECAY ** np.arange(width - 1, -1, -1, dtype=np.float64)
+    s = float(tail.sum())
+    q = float((tail * tail).sum())
+    n = width + 1
+    return tail, s, n * q - s * s * n / (n - 1)
 
 
 def margin_vector(margin: float, width: int) -> TokenLogits:

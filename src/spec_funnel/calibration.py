@@ -14,7 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .backends.base import Backend, Query
-from .bounds import COUNT, UNIT, check
+from .bounds import COUNT, FINITE, UNIT, Range, check
 from .errors import DegenerateDistribution, InfiniteSpeedup, ValidationError
 from .funnel import speedup_model
 from .gate import GateConfig, Scoring, gate
@@ -199,15 +199,18 @@ def kde(scores, bandwidth: float | None = None) -> DensityEstimate:
     Mass falling outside [0, 1] is folded back by reflection at both
     boundaries, so the density integrates to ~1 on the grid.
     """
+    h = None if bandwidth is None else float(bandwidth)
+    check(Range(0, open=True), bandwidth=h)
     # sorting makes the estimate exactly invariant to input order
     x = np.sort(np.asarray(list(scores), dtype=np.float64))
     if x.size < 2:
         raise DegenerateDistribution("need at least 2 scores")
     if float(x.std()) == 0.0:
         raise DegenerateDistribution("scores have zero variance (point mass)")
-    h = float(bandwidth) if bandwidth is not None else _silverman_bandwidth(x)
-    if h <= 0.0:
-        raise DegenerateDistribution("bandwidth collapsed to zero")
+    if h is None:
+        h = _silverman_bandwidth(x)
+        if h <= 0.0:
+            raise DegenerateDistribution("bandwidth collapsed to zero")
     grid = np.linspace(0.0, 1.0, KDE_GRID_SIZE)
     density = np.zeros(KDE_GRID_SIZE)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
@@ -285,6 +288,7 @@ def sweep_threshold(
     if not samples:
         raise ValidationError("need at least one score sample")
     taus = [float(t) for t in taus]
+    check(FINITE, taus=taus)
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError("taus must be sorted ascending")
     check(UNIT, beta=beta, fallback_accuracy=fallback_accuracy)
@@ -318,6 +322,7 @@ def choose_threshold(points, baseline_accuracy: float) -> ThresholdChoice:
     points = list(points)
     if not points:
         raise ValidationError("need at least one operating point")
+    check(UNIT, baseline_accuracy=baseline_accuracy)
     safe = [p for p in points if p.accuracy >= baseline_accuracy]
     if safe:
         best = max(safe, key=lambda p: (p.analytic_speedup, p.accuracy, -p.tau))

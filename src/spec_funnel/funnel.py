@@ -86,8 +86,6 @@ class FunnelStats:
             raise ValidationError("gate counts must partition the tool-free set")
         if self.n_residual != self.n_rejected + self.n_toolreq:
             raise ValidationError("residual must equal rejected plus tool-required")
-        if self.n_residual != self.batch_size - self.n_accepted:
-            raise ValidationError("residual must equal batch minus accepted")
         if self.beta_hat != self.n_toolfree / self.batch_size:
             raise ValidationError("beta_hat must equal n_toolfree / batch_size")
         if self.alpha_hat != self.n_accepted / max(self.n_toolfree, 1):
@@ -249,7 +247,7 @@ def serve_batch(
     that baseline reuses the residual queries' agentic costs, so only the
     accepted queries call agentic_run a second time.
     """
-    return _serve(queries, gate_config, schedule, backend, bypass=True)
+    return _serve(queries, gate_config, schedule, backend)
 
 
 def serve_batch_baseline(
@@ -260,21 +258,22 @@ def serve_batch_baseline(
     This is the reference run speedups are measured against; its reported
     speedup is exactly 1.
     """
-    return _serve(queries, None, schedule, backend, bypass=False)
+    return _serve(queries, None, schedule, backend)
 
 
-def _serve(queries, gate_config, schedule: ScheduleConfig, backend: Backend, bypass: bool):
-    """One batch through run_phases; the two clocks differ only in the stage
-    runner, and in measured mode there is no baseline to compare against."""
+def _serve(queries, gate_config, schedule: ScheduleConfig, backend: Backend):
+    """One batch through run_phases, with bypass off when gate_config is
+    None; the two clocks differ only in the stage runner, and in measured
+    mode there is no baseline to compare against."""
     if not queries:
         raise ValidationError("batch must be non-empty")
     if len({q.id for q in queries}) != len(queries):
         raise ValidationError("query ids must be unique within a batch")
     run_stage, stage_s = _clock(schedule)
-    outcomes = run_phases(queries, gate_config, backend, run_stage, bypass)
+    outcomes = run_phases(queries, gate_config, backend, run_stage)
     baseline_s = None
     if schedule.mode is ScheduleMode.SIMULATED:
-        baseline_s = _baseline_s(queries, outcomes, schedule, backend) if bypass else stage_s["agentic"]
+        baseline_s = stage_s["agentic"] if gate_config is None else _baseline_s(queries, outcomes, schedule, backend)
     return sorted(outcomes, key=lambda o: o.query_id), _build_stats(outcomes, stage_s, baseline_s)
 
 

@@ -142,7 +142,7 @@ def _in_order(stage: str, fn, items: list) -> list:
 
 
 def run_phases(
-    queries, gate_config: GateConfig | None, backend: Backend, run_stage=_in_order, bypass=True
+    queries, gate_config: GateConfig | None, backend: Backend, run_stage=_in_order
 ) -> list[QueryOutcome]:
     """Run a batch through the four phases, one stage at a time.
 
@@ -151,16 +151,16 @@ def run_phases(
     it decides how the calls are spread over workers and timed. Each
     result is a tuple whose last item is the cost the call reported, in
     seconds, and 0.0 for a failed call. Judge and draft failures degrade to
-    fallback, and an agentic failure becomes the outcome's error. With
-    bypass off, nothing is judged or drafted and every query takes the
-    tool-required path; gate_config is then unused.
+    fallback, and an agentic failure becomes the outcome's error. A
+    gate_config of None turns bypass off: nothing is judged or drafted and
+    every query takes the tool-required path.
     Outcomes come back in input order.
     """
     queries = list(queries)
-    if bypass:
-        verdicts = run_stage("judge", lambda q: _judge(backend, q), queries)
-    else:
+    if gate_config is None:
         verdicts = [(1, 0.0)] * len(queries)
+    else:
+        verdicts = run_stage("judge", lambda q: _judge(backend, q), queries)
     toolfree = [i for i, (g, _) in enumerate(verdicts) if g == 0]
     drafted = run_stage(
         "speculate",

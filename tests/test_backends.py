@@ -114,6 +114,11 @@ class TestSpeculate:
         query = Query(id="q", ground_truth="C", true_requires_tools=False)
         assert backend.speculate(query).answer != "C"
 
+    def test_incorrect_free_text_draft(self):
+        backend = SyntheticBackend(SyntheticConfig(seed=5, draft_accuracy_toolfree=0.0))
+        query = Query(id="q", ground_truth="yes", true_requires_tools=False)
+        assert backend.speculate(query).answer == "not-yes"
+
 
 class TestAgenticRun:
     def test_latency_is_step_sum(self):
@@ -163,6 +168,28 @@ class TestAgenticRun:
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestRecordGuards:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Query(id=""), "query id must be non-empty"),
+            (lambda: Query(id="q", true_depth=-1), "true_depth must be >= 0"),
+            (lambda: JudgeOutput(g=2, latency_s=0.0), "judge flag must be 0 or 1"),
+            (lambda: SpeculativeAnswer(answer="A", token_logits=(), latency_s=0.0), "non-empty answer requires"),
+            (lambda: AgenticOutput(answer="A", depth=-1, step_costs=(), latency_s=0.0), "depth must be >= 0"),
+            (
+                lambda: AgenticOutput(answer="A", depth=2, step_costs=((1.0, 0.0),), latency_s=1.0),
+                "depth must equal the number of tool steps",
+            ),
+        ],
+        ids=["empty-id", "negative-true-depth", "judge-flag-2", "answer-without-logits", "negative-depth",
+             "depth-not-steps"],
+    )
+    def test_inconsistent_record_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
 
 class TestNonFiniteLatencyRejected:
@@ -283,6 +310,10 @@ class TestConfigValidation:
     def test_rejects_non_finite_cost(self, name, value):
         with pytest.raises(ValidationError, match=name):
             SyntheticConfig(**{name: value})
+
+    def test_rejects_negative_depth_key(self):
+        with pytest.raises(ValidationError, match="depth_weights keys must be >= 0"):
+            SyntheticConfig(depth_weights={-1: 1.0})
 
     def test_rejects_inverted_margins(self):
         with pytest.raises(ValidationError):

@@ -17,6 +17,7 @@ from spec_funnel.calibration import (
     OperatingPoint,
     ScoreSample,
     choose_threshold,
+    collect_score_sets,
     collect_scores,
     default_tau_grid,
     kde,
@@ -100,6 +101,11 @@ class TestKde:
             kde([0.5])
         with pytest.raises(DegenerateDistribution):
             kde([0.5] * 40)
+
+    def test_silverman_bandwidth_collapse(self):
+        # nonzero spread, but an IQR of one subnormal step rounds the bandwidth to 0.0
+        with pytest.raises(DegenerateDistribution, match="bandwidth collapsed"):
+            kde([0.0] * 20 + [5e-324] * 19 + [1.0])
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(3)
@@ -229,6 +235,42 @@ class TestSweepThreshold:
         # NaN passed the old `< 1` tests and failed later as a TypeError
         with pytest.raises(ValidationError, match=r"must lie in \[1, inf\)"):
             call()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda s: kde([0.2, 0.5, 0.7], bandwidth=math.nan), "bandwidth"),
+            (lambda s: kde([0.2, 0.5, 0.7], bandwidth=math.inf), "bandwidth"),
+            (lambda s: kde([0.2, 0.5, 0.7], bandwidth=-1.0), "bandwidth"),
+            (lambda s: kde([0.2, 0.5, 0.7], bandwidth="nan"), "bandwidth"),
+            (lambda s: peak_distance([0.8, 0.9, 0.95], [0.1, 0.3, 0.4], math.nan), "bandwidth"),
+            (lambda s: sweep_threshold(s, [math.nan], CostSummary(0.1, 0.5, 10.0), 0.8, 0.9), r"taus\[0\]"),
+            (lambda s: choose_threshold(sweep_threshold(s, [0.5], CostSummary(0.1, 0.5, 10.0), 0.8, 0.9), math.nan),
+             "baseline_accuracy"),
+        ],
+        ids=[
+            "kde-nan", "kde-inf", "kde-negative", "kde-nan-string", "peak_distance-nan", "sweep-nan-tau",
+            "choose-nan-baseline",
+        ],
+    )
+    def test_non_finite_argument_rejected(self, call, name):
+        # each returned a NaN, all-zero or silently flagged result, or blamed a collapsed bandwidth
+        with pytest.raises(ValidationError, match=rf"^{name} must lie in "):
+            call(self.samples())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda backend: collect_scores([], GateConfig(tau=0.9), backend),
+            lambda backend: collect_score_sets(make_workload(SyntheticConfig(seed=1), 2), (), backend),
+            lambda backend: default_tau_grid([]),
+            lambda backend: choose_threshold([], 0.9),
+        ],
+        ids=["no-queries", "no-gate-configs", "no-scores", "no-operating-points"],
+    )
+    def test_empty_input_rejected(self, call, backend):
+        with pytest.raises(ValidationError, match="need at least one"):
+            call(backend)
 
 
 class TestChooseThreshold:

@@ -545,6 +545,13 @@ class TestTypedOverrides:
         assert len(read_jsonl(out / "outcomes.jsonl")) == 20
         assert load_config(None, ["workload.n_queries=20.0"]) == load_config(None, ["workload.n_queries=20"])
 
+    def test_quota_with_ungateable_tau_exits_2(self, tmp_path, capsys):
+        # at tau=0.99 the pinned correct drafts no longer pass the gate
+        quota = 'workload.quota={"beta": 0.8, "alpha": 0.7}'
+        assert main(["run", "--out", str(tmp_path / "o"), "--set", quota, "--set", "gate.tau=0.99", *SMALL]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: workload.quota: quota mode needs")
+
     def test_bypass_false_runs_the_baseline(self, tmp_path):
         out = tmp_path / "run"
         assert main(["run", "--out", str(out), "--set", "bypass=false", *SMALL]) == 0
@@ -602,8 +609,8 @@ def _add_latency(record, phase, seconds):
     record["total_latency_s"] += seconds
 
 
-# the FunnelStats identity each edit breaks; "residual must equal batch minus
-# accepted" is implied by the three before it, so no edit reaches it alone
+# the FunnelStats identity each edit breaks; residual = batch - accepted
+# follows from the three counting identities, so it has no check of its own
 BROKEN_STATS = {
     "screen counts must partition the batch": lambda s: s.update(n_toolreq=s["n_toolreq"] + 1),
     "gate counts must partition the tool-free set": lambda s: s.update(n_rejected=s["n_rejected"] + 1),

@@ -20,7 +20,7 @@ from spec_funnel.backends.synthetic import (
     make_workload,
 )
 from spec_funnel.backends.remote import parse_judge_response, parse_speculate_response
-from spec_funnel.errors import BackendUnavailable, InfiniteSpeedup, ValidationError
+from spec_funnel.errors import BackendUnavailable, ConfigError, InfiniteSpeedup, ValidationError
 from spec_funnel.funnel import (
     FunnelStats,
     ScheduleConfig,
@@ -35,7 +35,7 @@ from spec_funnel.funnel import (
 )
 from spec_funnel.gate import GateConfig
 from spec_funnel.pipeline import QueryPath, process_query
-from spec_funnel.recordio import outcome_lines
+from spec_funnel.recordio import outcome_lines, stats_from_dict
 
 
 class TestSpeedupModel:
@@ -93,6 +93,9 @@ class TestScheduling:
 
     def test_single_worker_serializes(self):
         assert _list_schedule_makespan([4.0, 3.0, 3.0], 1) == 10.0
+
+    def test_mode_string_coerced(self):
+        assert ScheduleConfig(mode="measured").mode is ScheduleMode.MEASURED
 
 
 class TestServeBatch:
@@ -332,6 +335,34 @@ class TestFunnelStatsValidation:
                 baseline_makespan_s=None,
                 speedup=None,
             )
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).filter(any),
+        st.lists(st.integers(-1, 1), min_size=6, max_size=6),
+    )
+    def test_three_count_identities_imply_residual_is_batch_minus_accepted(self, base, nudges):
+        # a consistent batch (accepted, rejected, tool-required), then each count nudged by at most one
+        accepted, rejected, toolreq = base
+        toolfree = accepted + rejected
+        consistent = (toolfree + toolreq, toolfree, toolreq, accepted, rejected, rejected + toolreq)
+        batch, toolfree, toolreq, accepted, rejected, residual = (
+            max(count + nudge, 0) for count, nudge in zip(consistent, nudges)
+        )
+        batch = max(batch, 1)
+        identities = toolfree + toolreq == batch and accepted + rejected == toolfree and residual == rejected + toolreq
+        data = {
+            "batch_size": batch, "n_toolfree": toolfree, "n_toolreq": toolreq, "n_accepted": accepted,
+            "n_rejected": rejected, "n_residual": residual, "beta_hat": toolfree / batch,
+            "alpha_hat": accepted / max(toolfree, 1), "frontend_makespan_s": 0.0, "fallback_makespan_s": 0.0,
+            "batch_makespan_s": 0.0,
+        }
+        if identities:
+            assert stats_from_dict(data).n_residual == batch - accepted
+        else:
+            with pytest.raises(ConfigError, match="must"):
+                stats_from_dict(data)
 
 
 class TestSimulatedBaselineReuse:

@@ -194,6 +194,15 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate([1.0], Scoring.LOG_CONF)
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf])
+    def test_non_finite_score_rejected(self, score):
+        with pytest.raises(ValidationError, match="token scores must all be finite"):
+            aggregate([1.0, score], Scoring.MEAN)
+
+    def test_bottom_ratio_outside_unit_rejected(self):
+        with pytest.raises(ValidationError, match="bottom_ratio must lie strictly inside"):
+            aggregate([1.0, 2.0], Scoring.BOTTOM_R, 1.5)
+
 
 class TestNormalize:
     def test_midpoint(self):
