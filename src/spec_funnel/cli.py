@@ -515,10 +515,9 @@ def _config_from_args(args) -> RunConfig:
     if calibration_path:
         try:
             artifact = json.loads(Path(calibration_path).read_text(encoding="utf-8"))
-            tau = float(real(artifact["chosen_tau"]))
+            config = replace(config, gate=replace(config.gate, tau=float(real(artifact["chosen_tau"]))))
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConfigError(f"unusable calibration artifact: {exc}", field="--calibration") from exc
-        config = replace(config, gate=replace(config.gate, tau=tau))
     return config
 
 

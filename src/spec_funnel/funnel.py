@@ -1,18 +1,18 @@
 """Heterogeneous batch funnel: parallel stateless front-end, sequential
 stateful fallback.
 
-The batch is screened in parallel waves, the tool-free subset is drafted
-and gated in parallel waves, and the residual set (gate-rejected plus
-tool-required) drains through a small pool of agentic workers. The phases
-themselves are defined in pipeline; this module holds the stage runner,
-the schedules and the batch statistics. One runner serves both clocks.
-Measured mode runs each stage on real threads, the calling thread among
-them, each taking the next query as it comes free, and reports wall-clock
-stage times. Simulated mode runs each stage's calls in turn and, as the
-stage returns, schedules the costs they reported on a virtual clock, so
-results are hardware independent; its bypass-off baseline reuses the
-agentic cost of every query the funnel did not accept and runs the agentic
-loop again only for the accepted ones.
+The front-end pool screens the batch and drafts and gates the tool-free
+subset, and the residual set (gate-rejected plus tool-required) drains
+through a small pool of agentic workers. The phases themselves are defined
+in pipeline; this module holds the stage runner, the schedule and the batch
+statistics. One runner and one schedule serve both clocks: every stage
+gives each call, in input order, to the earliest free worker. Measured mode
+runs the calls on real threads, the calling thread among them, and
+reports wall-clock stage times. Simulated mode runs each stage's calls in
+turn and, as the stage returns, schedules the costs they reported on a
+virtual clock, so results are hardware independent; its bypass-off
+baseline reuses the agentic cost of every query the funnel did not accept
+and runs the agentic loop again only for the accepted ones.
 """
 
 import heapq
@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Annotated
 
 from .backends.base import Backend, Query
-from .bounds import UNIT, Range, check, check_bounds
+from .bounds import COUNT, UNIT, Range, check, check_bounds
 from .errors import InfiniteSpeedup, ValidationError
 from .gate import GateConfig
 # process_query stays importable here: perfbench/tracing.py wraps funnel.process_query by name
@@ -80,6 +80,10 @@ class FunnelStats:
     speedup: float | None = None
 
     def __post_init__(self):
+        check(COUNT, batch_size=self.batch_size)
+        counts = ("n_toolfree", "n_toolreq", "n_accepted", "n_rejected", "n_residual")
+        makespans = ("frontend_makespan_s", "fallback_makespan_s", "batch_makespan_s")
+        check(Range(0), **{name: getattr(self, name) for name in counts + makespans})
         if self.n_toolfree + self.n_toolreq != self.batch_size:
             raise ValidationError("screen counts must partition the batch")
         if self.n_accepted + self.n_rejected != self.n_toolfree:
@@ -120,14 +124,6 @@ def throughput_bound(latencies) -> float:
         raise ValidationError("need at least one latency")
     check(Range(0, open=True), latencies=values)
     return len(values) / math.fsum(values)
-
-
-def _wave_makespan(costs, workers: int) -> float:
-    """Stage makespan in waves of `workers` parallel calls."""
-    total = 0.0
-    for start in range(0, len(costs), workers):
-        total += max(costs[start : start + workers])
-    return total
 
 
 def _list_schedule_makespan(durations, workers: int) -> float:
@@ -176,8 +172,8 @@ def _clock(schedule: ScheduleConfig):
     Measured mode runs a stage on as many threads as the front end or the
     agentic drain has workers, at most one per call, and times it; see
     _run_threaded. Simulated mode runs it in turn on the calling thread and
-    schedules the costs its calls reported over the same worker count: in
-    waves for the front end, on the earliest free worker for the drain.
+    schedules the costs its calls reported over the same worker count in
+    the order the threads take them, each to the earliest free worker.
     """
     stage_s = {"judge": 0.0, "speculate": 0.0, "agentic": 0.0}
 
@@ -191,8 +187,7 @@ def _clock(schedule: ScheduleConfig):
             stage_s[stage] = time.perf_counter() - start
         else:
             results = [fn(item) for item in items]
-            makespan = _list_schedule_makespan if stage == "agentic" else _wave_makespan
-            stage_s[stage] = makespan([result[-1] for result in results], workers)
+            stage_s[stage] = _list_schedule_makespan([result[-1] for result in results], workers)
         return results
 
     return run_stage, stage_s

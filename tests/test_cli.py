@@ -2,6 +2,7 @@
 reproducibility, exit codes, and pinned CSV headers."""
 
 import json
+import math
 import shutil
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -429,7 +430,18 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize(
-        "artifact", [{"chosen_tau": None}, [0.9], "0.9", {"chosen_tau": "0.5"}, {"chosen_tau": True}]
+        "artifact",
+        [
+            {"chosen_tau": None},
+            [0.9],
+            "0.9",
+            {"chosen_tau": "0.5"},
+            {"chosen_tau": True},
+            # a number that is no threshold: the gate config refuses it
+            {"chosen_tau": 0.0},
+            {"chosen_tau": 1.0},
+            {"chosen_tau": math.nan},
+        ],
     )
     def test_run_with_unusable_calibration(self, tmp_path, capsys, artifact):
         path = tmp_path / "calibration.json"
@@ -620,6 +632,16 @@ BROKEN_STATS = {
     "throughput must equal batch_size / batch_makespan": lambda s: s.update(throughput_qps=s["throughput_qps"] * 2),
     "throughput is undefined for a zero makespan": lambda s: s.update(batch_makespan_s=0.0),
     "speedup must equal baseline / batch makespan": lambda s: s.update(speedup=s["speedup"] * 2),
+    # counts and makespans out of range, checked before the identities above
+    "batch_size must lie in [1, inf)": lambda s: s.update({k: 0 for k in s if k == "batch_size" or k.startswith("n_")}),
+    "n_toolfree must lie in [0, inf)": lambda s: s.update(n_toolfree=-1, n_toolreq=s["n_toolreq"] + 1),
+    "n_toolreq must lie in [0, inf)": lambda s: s.update(n_toolreq=-1),
+    "n_accepted must lie in [0, inf)": lambda s: s.update(n_accepted=-1, n_rejected=s["n_rejected"] + 1),
+    "n_rejected must lie in [0, inf)": lambda s: s.update(n_rejected=-1),
+    "n_residual must lie in [0, inf)": lambda s: s.update(n_residual=-1),
+    "frontend_makespan_s must lie in [0, inf)": lambda s: s.update(frontend_makespan_s=-1.0),
+    "fallback_makespan_s must lie in [0, inf)": lambda s: s.update(fallback_makespan_s=math.nan),
+    "batch_makespan_s must lie in [0, inf)": lambda s: s.update(batch_makespan_s=-s["batch_makespan_s"]),
 }
 
 # the QueryOutcome invariant each edit of the outcome records breaks

@@ -27,7 +27,6 @@ from spec_funnel.funnel import (
     ScheduleMode,
     _clock,
     _list_schedule_makespan,
-    _wave_makespan,
     serve_batch,
     serve_batch_baseline,
     speedup_model,
@@ -83,9 +82,22 @@ class TestThroughputBound:
 
 class TestScheduling:
     def test_wave_makespan_constant_costs(self):
-        assert _wave_makespan([0.5] * 10, 4) == pytest.approx(3 * 0.5, abs=1e-12)
-        assert _wave_makespan([0.5] * 10, 10) == 0.5
-        assert _wave_makespan([0.5] * 10, 1) == pytest.approx(5.0, abs=1e-12)
+        assert _list_schedule_makespan([0.5] * 10, 4) == pytest.approx(3 * 0.5, abs=1e-12)
+        assert _list_schedule_makespan([0.5] * 10, 10) == 0.5
+        assert _list_schedule_makespan([0.5] * 10, 1) == pytest.approx(5.0, abs=1e-12)
+
+    @given(
+        n=st.integers(1, 300),
+        workers=st.integers(1, 400),
+        cost=st.floats(0.0, allow_infinity=False, allow_nan=False),
+    )
+    def test_equal_costs_sum_one_per_round(self, n, workers, cost):
+        # simulated outputs of equal-cost stages rest on this identity: the
+        # makespan is the cost added ceil(n / workers) times, bit for bit
+        total = 0.0
+        for _ in range(-(-n // workers)):
+            total += cost
+        assert _list_schedule_makespan([cost] * n, workers) == total
 
     def test_fifo_earliest_free_worker(self):
         # workers: A takes 4; B takes 3, frees first, takes the last 3
@@ -454,8 +466,8 @@ def _oracle_stage_s(outcomes, schedule):
     ]
     residual = [o.latency.agentic_s for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
     return {
-        "judge": _wave_makespan([o.latency.judge_s for o in outcomes], schedule.frontend_workers),
-        "speculate": _wave_makespan(toolfree, schedule.frontend_workers),
+        "judge": _list_schedule_makespan([o.latency.judge_s for o in outcomes], schedule.frontend_workers),
+        "speculate": _list_schedule_makespan(toolfree, schedule.frontend_workers),
         "agentic": _list_schedule_makespan(residual, schedule.agentic_workers),
     }
 
@@ -690,3 +702,36 @@ class TestMeasuredStageRunner:
         assert set(drained) == {threading.current_thread()}
         assert set(counts) == {active}  # no thread was started for the drain
         assert len({thread for phase, _, thread in backend.calls if phase == "judge"}) > 1
+
+
+# one slow call ahead of many short ones, and uneven short calls of 0-4 ms
+LOWER_BOUND_COSTS = {
+    "slow_first": [0.1] + [0.005] * 19,
+    "crc32": [zlib.crc32(f"cost/{i}".encode()) % 4001 / 1e6 for i in range(60)],
+}
+
+
+class TestSimulatedClockBoundsMeasured:
+    @pytest.mark.parametrize("costs", LOWER_BOUND_COSTS.values(), ids=LOWER_BOUND_COSTS)
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    @pytest.mark.parametrize("stage", ["judge", "agentic"])
+    def test_simulated_stage_is_a_lower_bound(self, stage, workers, costs):
+        """The simulated makespan of a stage is at most the measured one.
+
+        In measured mode items leave one iterator in index order, a thread
+        takes an item only after its previous call returned, and each call
+        here sleeps at least the cost it reports. So, by induction over the
+        index, no call starts before the start the simulated schedule gives
+        it, and none ends before its simulated end. This holds on any
+        machine, so no ratio tolerance is needed.
+        """
+
+        def fn(cost):
+            time.sleep(cost)
+            return (cost,)
+
+        run_measured, measured = _clock(_measured(frontend_workers=workers, agentic_workers=workers))
+        run_measured(stage, fn, costs)
+        run_simulated, simulated = _clock(ScheduleConfig(frontend_workers=workers, agentic_workers=workers))
+        run_simulated(stage, lambda cost: (cost,), costs)
+        assert 0.0 < simulated[stage] <= measured[stage]
