@@ -3,7 +3,7 @@
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -129,46 +129,31 @@ class AgenticOutput:
     """Result of the stateful tool loop.
 
     step_costs holds one (llm_s, tool_s) pair per loop step, including the
-    final answer-emission step whose tool cost is zero, so depth equals
-    len(step_costs) - 1 and latency_s equals the sum of all step costs.
+    final answer-emission step whose tool cost is zero; depth and latency_s
+    are read off it.
     """
 
     answer: str
-    depth: int
     step_costs: tuple[tuple[float, float], ...]
-    latency_s: float
     truncated: bool = False
 
     def __post_init__(self):
         costs = tuple((float(a), float(b)) for a, b in self.step_costs)
         object.__setattr__(self, "step_costs", costs)
-        if self.depth < 0:
-            raise ValidationError("depth must be >= 0")
-        if costs and self.depth != len(costs) - 1:
-            raise ValidationError("depth must equal the number of tool steps (len(step_costs) - 1)")
         if any(a < 0.0 or b < 0.0 for a, b in costs):
             raise ValidationError("step costs must be >= 0")
-        total = math.fsum(c for pair in costs for c in pair)
-        if not math.isfinite(total):
+        if not math.isfinite(self.latency_s):
             raise ValidationError("step costs must be finite")
-        _check_latency(self.latency_s)
-        if abs(total - self.latency_s) > 1e-9:
-            raise ValidationError("latency must equal the sum of step costs")
 
-    @classmethod
-    def from_steps(cls, answer, step_costs, truncated=False) -> "AgenticOutput":
-        costs = tuple((float(a), float(b)) for a, b in step_costs)
-        total = math.fsum(c for pair in costs for c in pair)
-        return cls(
-            answer=answer,
-            depth=max(len(costs) - 1, 0),
-            step_costs=costs,
-            latency_s=total,
-            truncated=truncated,
-        )
+    @property
+    def depth(self) -> int:
+        return max(len(self.step_costs) - 1, 0)
+
+    @property
+    def latency_s(self) -> float:
+        return math.fsum(c for pair in self.step_costs for c in pair)
 
 
-@runtime_checkable
 class Backend(Protocol):
     """The three model routes. A route that cannot serve raises BackendUnavailable,
     which the funnel degrades to a fallback or an outcome error; any other

@@ -35,7 +35,6 @@ import re
 import select
 import threading
 import weakref
-from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from urllib.parse import urlsplit
 
@@ -56,7 +55,6 @@ __all__ = [
     "parse_agentic_response",
     "iter_exchanges",
     "request_id",
-    "LoggedSpeculation",
 ]
 
 DEFAULT_JUDGE_PROMPT = (
@@ -146,10 +144,9 @@ def parse_agentic_response(body, max_steps: int) -> AgenticOutput:
             "step_costs must hold one pair per loop step plus the final answer step"
         )
     try:
-        # latency is recomputed from the step costs so the output type keeps
-        # its cost-sum identity; the server's wall-clock total stays in the
-        # exchange log only.
-        return AgenticOutput.from_steps(answer, costs, truncated=depth >= max_steps)
+        # latency is the sum of the step costs; the server's wall-clock total
+        # stays in the exchange log only
+        return AgenticOutput(answer, costs, truncated=depth >= max_steps)
     except ValidationError as exc:
         raise BackendUnavailable(f"inconsistent agentic response: {exc}") from exc
 
@@ -261,8 +258,11 @@ class RemoteBackend:
         line = json.dumps({"route": route, "request": request, "response": response}, sort_keys=True)
         with self._log_lock:
             if self._log_file is None:
-                # line-buffered, so each exchange reaches the OS before its call returns
-                self._log_file = open(self._log_path, "a", encoding="utf-8", buffering=1)
+                try:
+                    # line-buffered, so each exchange reaches the OS before its call returns
+                    self._log_file = open(self._log_path, "a", encoding="utf-8", buffering=1)
+                except OSError as exc:  # not a backend failure: no fallback can help
+                    raise ValidationError(f"unwritable exchange log {self._log_path}: {exc}") from exc
                 self._close_log = weakref.finalize(self, self._log_file.close)  # also when freed unclosed
             self._log_file.write(line + "\n")
 
@@ -454,14 +454,3 @@ def iter_exchanges(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"unreadable exchange log {path}: {exc}") from exc
 
-
-@dataclass(frozen=True)
-class LoggedSpeculation:
-    """One logged /speculate response, which speculate() parses as the live
-    adapter did: the same token logits, or the same BackendUnavailable."""
-
-    response: object
-    top_logprobs: int
-
-    def speculate(self, query: Query) -> SpeculativeAnswer:
-        return parse_speculate_response(self.response, self.top_logprobs)

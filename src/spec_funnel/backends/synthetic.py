@@ -271,7 +271,7 @@ class SyntheticBackend:
         steps.append((cfg.llm_step_cost_s, 0.0))  # answer emission, no tool
         truth = self._ground_truth(query)
         answer = truth if correct else wrong_answer(truth)
-        return AgenticOutput.from_steps(answer, steps, truncated=truncated)
+        return AgenticOutput(answer, steps, truncated=truncated)
 
 
 def make_workload(config: SyntheticConfig, n_queries: int) -> list[Query]:

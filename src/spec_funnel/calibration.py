@@ -140,13 +140,15 @@ def collect_score_sets(
         raise ValidationError("need at least one gate config")
     if any(q.ground_truth is None for q in queries):
         raise ValidationError("calibration queries must carry ground truth")
-    verdicts = [_judge(backend, query) for query in queries]
+    verdicts = [_judge(backend.judge, query) for query in queries]
     toolfree = [query for query, (g, _) in zip(queries, verdicts) if g == 0]
     samples = [[] for _ in gate_configs]
     token_scores = [[] for _ in gate_configs]
     speculate_costs = []
     for query in toolfree:
-        answer, decisions, cost = _draft(backend, query, lambda logits: [gate(logits, c) for c in gate_configs])
+        answer, decisions, cost = _draft(
+            backend.speculate, query, lambda logits: [gate(logits, c) for c in gate_configs]
+        )
         if decisions is None:
             continue
         speculate_costs.append(cost)

@@ -27,7 +27,7 @@ import numpy as np
 from . import calibration as cal
 from .backends import remote
 from .backends.base import Query, real
-from .backends.remote import ENDPOINT_ENV_VAR, LoggedSpeculation, RemoteBackend
+from .backends.remote import ENDPOINT_ENV_VAR, RemoteBackend
 from .backends.synthetic import (
     SyntheticBackend,
     make_quota_workload,
@@ -42,7 +42,7 @@ from .errors import (
     SpecFunnelError,
     ValidationError,
 )
-from .funnel import serve_batch, serve_batch_baseline
+from .funnel import serve_batch
 from .gate import Scoring, gate
 from .pipeline import QueryPath, _draft, _fallback, answers_match, expected_latency
 from .recordio import (
@@ -181,10 +181,7 @@ def _now() -> str:
 def cmd_run(config: RunConfig, args) -> tuple[dict, str]:
     with _backend(config) as backend:
         workload = _build_workload(config)
-        if config.bypass:
-            outcomes, stats = serve_batch(workload, config.gate, config.schedule, backend)
-        else:
-            outcomes, stats = serve_batch_baseline(workload, config.schedule, backend)
+        outcomes, stats = serve_batch(workload, config.gate if config.bypass else None, config.schedule, backend)
     if all(o.error for o in outcomes):
         raise BackendUnavailable(f"every query failed; first error: {outcomes[0].error}")
     files = {
@@ -205,7 +202,7 @@ def _agentic_reference(workload, backend):
     """Run the agentic loop once per query, as the baseline does: fallback
     accuracy, mean cost and the number of failed loops, which count in
     neither."""
-    runs = [(query, *_fallback(backend, query)) for query in workload]
+    runs = [(query, *_fallback(backend.agentic_run, query)) for query in workload]
     done = [(query, answer, agentic_s) for query, answer, error, agentic_s in runs if error is None]
     if runs and not done:
         raise BackendUnavailable(f"every agentic run failed; first error: {runs[0][2]}")
@@ -410,11 +407,16 @@ def cmd_replay(config: RunConfig, args) -> tuple[dict, str]:
         decision = gate(logits, config.gate)
         return len(logits), decision.score, decision.verdict.value
 
+    top_logprobs = config.backend.top_logprobs
     drafts = {}  # by id: the last entry counts
-    for entry in remote.iter_exchanges(args.log):  # on the module, where perfbench's tracer wraps it
+    # both remote names are looked up on the module, where perfbench's tracer wraps them
+    for entry in remote.iter_exchanges(args.log):
         if entry["route"] == "/speculate":
             query = Query(id=entry["request"]["id"])
-            drafts[query.id] = _draft(LoggedSpeculation(entry["response"], config.backend.top_logprobs), query, score)
+            # the logged response stands in for the route, which _draft calls at once
+            drafts[query.id] = _draft(
+                lambda _: remote.parse_speculate_response(entry["response"], top_logprobs), query, score
+            )
     if not drafts:
         raise ValidationError(f"no /speculate exchanges found in {args.log}")
     rows = [[qid, answer, *scored] for qid, (answer, scored, _) in sorted(drafts.items()) if scored is not None]
@@ -501,16 +503,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    bypass = None
+    """The resolved config. Each dedicated flag given is an override applied
+    after every --set, so the flags win."""
+    flags = [("seed", args.seed)]
     if getattr(args, "bypass", None) is not None:
-        bypass = args.bypass == "on"
-    config = load_config(
-        args.config,
-        args.overrides,
-        seed=args.seed,
-        endpoint=args.endpoint,
-        bypass=bypass,
-    )
+        flags.append(("bypass", args.bypass == "on"))
+    if args.endpoint is not None:
+        flags += [("backend.endpoint", args.endpoint), ("backend.kind", "remote")]
+    overrides = args.overrides + [f"{path}={json.dumps(value)}" for path, value in flags if value is not None]
+    config = load_config(args.config, overrides)
     calibration_path = getattr(args, "calibration", None)
     if calibration_path:
         try:

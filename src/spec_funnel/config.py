@@ -8,7 +8,7 @@ detectable.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated
 
@@ -132,7 +132,8 @@ def apply_override(raw: dict, assignment: str) -> None:
 
     The value parses as a JSON literal when possible and falls back to a
     plain string, so --set gate.tau=0.97 and --set backend.kind=remote both
-    work.
+    work. The path descends only into objects, and into missing or null
+    keys, which become objects; any other value on the way is an error.
     """
     if "=" not in assignment:
         raise ConfigError("--set expects path=value", field=assignment)
@@ -145,23 +146,16 @@ def apply_override(raw: dict, assignment: str) -> None:
     except (json.JSONDecodeError, RecursionError):
         value = text
     node = raw
-    for key in keys[:-1]:
-        child = node.get(key)
-        if not isinstance(child, dict):
-            child = {}
-            node[key] = child
-        node = child
+    for depth, key in enumerate(keys[:-1], 1):
+        if node.get(key) is None:
+            node[key] = {}
+        elif not isinstance(node[key], dict):
+            raise ConfigError("must be an object", field=".".join(keys[:depth]))
+        node = node[key]
     node[keys[-1]] = value
 
 
-def load_config(
-    path=None,
-    overrides=(),
-    *,
-    seed: int | None = None,
-    endpoint: str | None = None,
-    bypass: bool | None = None,
-) -> RunConfig:
+def load_config(path=None, overrides=()) -> RunConfig:
     raw: dict = {}
     if path is not None:
         try:
@@ -176,11 +170,4 @@ def load_config(
             raise ConfigError("config file must hold a JSON object")
     for assignment in overrides:
         apply_override(raw, assignment)
-    if seed is not None:
-        raw["seed"] = seed
-    config = build_config(raw)
-    if endpoint is not None:
-        config = replace(config, backend=replace(config.backend, endpoint=endpoint, kind="remote"))
-    if bypass is not None:
-        config = replace(config, bypass=bypass)
-    return config
+    return build_config(raw)

@@ -35,7 +35,6 @@ __all__ = [
     "ScheduleConfig",
     "FunnelStats",
     "serve_batch",
-    "serve_batch_baseline",
     "speedup_model",
     "throughput_bound",
 ]
@@ -229,37 +228,22 @@ def _run_threaded(fn, items, workers: int) -> list:
 
 def serve_batch(
     queries: list[Query],
-    gate_config: GateConfig,
+    gate_config: GateConfig | None,
     schedule: ScheduleConfig,
     backend: Backend,
 ) -> tuple[list[QueryOutcome], FunnelStats]:
-    """Serve one closed batch through the funnel.
+    """Serve one closed batch through the funnel, or with bypass off when
+    gate_config is None: no judge, everything agentic, the reference run
+    speedups are measured against, whose reported speedup is exactly 1.
 
     Outcomes are identical to sequentially applying process_query to each
-    query; scheduling affects stage makespans only. The returned outcome
-    list is sorted by query id. In simulated mode the speedup is taken
-    against the makespan serve_batch_baseline reports for the same batch;
-    that baseline reuses the residual queries' agentic costs, so only the
-    accepted queries call agentic_run a second time.
+    query; scheduling affects stage makespans only, and the two clocks
+    differ only in the stage runner. The returned outcome list is sorted by
+    query id. In simulated mode the speedup is taken against the makespan
+    of the bypass-off run of the same batch; that baseline reuses the
+    residual queries' agentic costs, so only the accepted queries call
+    agentic_run a second time. In measured mode there is no baseline.
     """
-    return _serve(queries, gate_config, schedule, backend)
-
-
-def serve_batch_baseline(
-    queries: list[Query], schedule: ScheduleConfig, backend: Backend
-) -> tuple[list[QueryOutcome], FunnelStats]:
-    """Serve a batch with bypass disabled: no judge, everything agentic.
-
-    This is the reference run speedups are measured against; its reported
-    speedup is exactly 1.
-    """
-    return _serve(queries, None, schedule, backend)
-
-
-def _serve(queries, gate_config, schedule: ScheduleConfig, backend: Backend):
-    """One batch through run_phases, with bypass off when gate_config is
-    None; the two clocks differ only in the stage runner, and in measured
-    mode there is no baseline to compare against."""
     if not queries:
         raise ValidationError("batch must be non-empty")
     if len({q.id for q in queries}) != len(queries):
@@ -273,17 +257,17 @@ def _serve(queries, gate_config, schedule: ScheduleConfig, backend: Backend):
 
 
 def _baseline_s(queries, outcomes, schedule: ScheduleConfig, backend: Backend) -> float:
-    """serve_batch_baseline's makespan, reusing the funnel run's agentic costs.
+    """The bypass-off run's makespan, reusing the funnel run's agentic costs.
 
     Every query the funnel did not accept already ran the agentic loop, so
     only the accepted ones run it again, through pipeline's Phase IV, whose
-    cost is read. The durations are scheduled in input order, as
-    serve_batch_baseline schedules them, so the makespan is bit-identical. A
-    failed loop, here or in the funnel run, counts 0.0, as it does in
-    serve_batch_baseline, and is not retried.
+    cost is read. The durations are scheduled in input order, as the
+    bypass-off run schedules them, so the makespan is bit-identical. A
+    failed loop, here or in the funnel run, counts 0.0, as it does in the
+    bypass-off run, and is not retried.
     """
     durations = [
-        _fallback(backend, q)[-1] if o.path is QueryPath.SPECULATION_ACCEPTED else o.latency.agentic_s
+        _fallback(backend.agentic_run, q)[-1] if o.path is QueryPath.SPECULATION_ACCEPTED else o.latency.agentic_s
         for q, o in zip(queries, outcomes)
     ]
     return _list_schedule_makespan(durations, schedule.agentic_workers)

@@ -81,10 +81,10 @@ class QueryOutcome:
                 raise ValidationError("tool-required path never speculates")
 
 
-def _judge(backend: Backend, query: Query) -> tuple[int | None, float]:
+def _judge(judge, query: Query) -> tuple[int | None, float]:
     """Phase I: (g, cost). A failed call gives g = None, routed as g = 1."""
     try:
-        output = backend.judge(query)
+        output = judge(query)
     except BackendUnavailable:
         return None, 0.0
     return output.g, output.latency_s
@@ -93,20 +93,20 @@ def _judge(backend: Backend, query: Query) -> tuple[int | None, float]:
 _NO_DRAFT = ("", None, 0.0)
 
 
-def _draft(backend: Backend, query: Query, score) -> tuple[str, object, float]:
+def _draft(speculate, query: Query, score) -> tuple[str, object, float]:
     """Phases II and III: (answer, score(token_logits), cost). The caller's
     score gates the draft; a failed draft gives a None score."""
     try:
-        draft = backend.speculate(query)
+        draft = speculate(query)
     except BackendUnavailable:
         return _NO_DRAFT
     return draft.answer, score(draft.token_logits), draft.latency_s
 
 
-def _fallback(backend: Backend, query: Query) -> tuple[str, str | None, float]:
+def _fallback(agentic_run, query: Query) -> tuple[str, str | None, float]:
     """Phase IV. A failed agentic loop leaves no answer and records the error."""
     try:
-        output = backend.agentic_run(query)
+        output = agentic_run(query)
     except BackendUnavailable as exc:
         return "", str(exc), 0.0
     return output.answer, None, output.latency_s
@@ -160,17 +160,17 @@ def run_phases(
     if gate_config is None:
         verdicts = [(1, 0.0)] * len(queries)
     else:
-        verdicts = run_stage("judge", lambda q: _judge(backend, q), queries)
+        verdicts = run_stage("judge", lambda q: _judge(backend.judge, q), queries)
     toolfree = [i for i, (g, _) in enumerate(verdicts) if g == 0]
     drafted = run_stage(
         "speculate",
-        lambda q: _draft(backend, q, lambda logits: gate(logits, gate_config)),
+        lambda q: _draft(backend.speculate, q, lambda logits: gate(logits, gate_config)),
         [queries[i] for i in toolfree],
     )
     drafts = dict(zip(toolfree, drafted))
     accepted = {i for i, (_, decision, _) in drafts.items() if decision and decision.accepted}
     residual = [i for i in range(len(queries)) if i not in accepted]
-    fallen = run_stage("agentic", lambda q: _fallback(backend, q), [queries[i] for i in residual])
+    fallen = run_stage("agentic", lambda q: _fallback(backend.agentic_run, q), [queries[i] for i in residual])
     fallbacks = dict(zip(residual, fallen))
     return [
         _outcome(query, *verdicts[i], *drafts.get(i, _NO_DRAFT), fallbacks.get(i))

@@ -3,6 +3,7 @@ reproducibility, exit codes, and pinned CSV headers."""
 
 import json
 import math
+import operator
 import shutil
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -84,7 +85,7 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
 
     def test_override_parses_json_then_string(self):
-        raw = {}
+        raw = {"workload": {"quota": None}}  # a path descends into a missing or null key
         apply_override(raw, "gate.tau=0.5")
         apply_override(raw, "backend.kind=remote")
         apply_override(raw, "workload.quota.beta=0.8")
@@ -93,6 +94,36 @@ class TestConfig:
             "backend": {"kind": "remote"},
             "workload": {"quota": {"beta": 0.8}},
         }
+
+    @pytest.mark.parametrize(
+        "content, args, message",
+        [
+            ({"gate": 5}, ["--set", "gate.tau=0.9"], "gate: must be an object"),
+            ({}, ["--set", "gate=5", "--set", "gate.tau=0.9"], "gate: must be an object"),
+            ({"gate": {"tau": [1]}}, ["--set", "gate.tau.x=1"], "gate.tau: must be an object"),
+            ({"backend": 5}, ["--endpoint", "http://127.0.0.1:9"], "backend: must be an object"),
+        ],
+        ids=["file_value", "set_value", "nested_value", "endpoint_flag"],
+    )
+    def test_override_never_replaces_a_value_that_is_not_an_object(self, tmp_path, capsys, content, args, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *args]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "args, field, value",
+        [
+            (["--seed", "3", "--set", "seed=9"], "seed", 3),
+            (["--set", "bypass=true", "--bypass", "off"], "bypass", False),
+            (["--set", "backend.kind=synthetic", "--endpoint", "http://127.0.0.1:9"], "backend.kind", "remote"),
+        ],
+        ids=["seed", "bypass", "endpoint"],
+    )
+    def test_dedicated_flags_win_over_set(self, args, field, value):
+        config = cli._config_from_args(cli.build_parser().parse_args(["run", *args]))
+        assert operator.attrgetter(field)(config) == value
 
     def test_remote_without_endpoint_fails(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPEC_FUNNEL_ENDPOINT", raising=False)

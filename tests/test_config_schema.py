@@ -1,6 +1,8 @@
 """The config schema is derived from the dataclasses: digests of fixed
 configs, unknown-key rejection at every level, and enum/nested coercion."""
 
+import json
+
 import pytest
 
 from spec_funnel.backends.synthetic import Uniform
@@ -12,14 +14,14 @@ from spec_funnel.gate import Scoring
 REMOTE = "http://127.0.0.1:9"
 TOO_LARGE = int("9" * 401)  # float() of it raises OverflowError
 
-# (overrides, load_config keywords, SHA-256 digest recorded from the
-# hand-written schema that the derived one replaced)
+# (overrides, SHA-256 digest recorded from the hand-written schema that the
+# derived one replaced); "seed", "bypass_off" and "endpoint_flag" hold the
+# overrides the CLI's --seed, --bypass and --endpoint flags add
 DIGESTS = {
-    "default": ([], {}, "3bb09b5755b68adeed7fb5a941d1be842b46345b05f836daab70dbb922033861"),
-    "seed": ([], {"seed": 7}, "c01bb9c186eced8f26c1e3cbb87d75c7dc03e7349166fb559958fcd8bcd6a920"),
+    "default": ([], "3bb09b5755b68adeed7fb5a941d1be842b46345b05f836daab70dbb922033861"),
+    "seed": (["seed=7"], "c01bb9c186eced8f26c1e3cbb87d75c7dc03e7349166fb559958fcd8bcd6a920"),
     "gate": (
         ["gate.tau=0.97", "gate.aggregation=mean", "gate.k=16", "gate.bottom_ratio=0.3", "gate.epsilon=1e-4"],
-        {},
         "94526a7980b8a8f9e8320a53f50c0dc98476af4f2d827d4f557c08820c56ae46",
     ),
     "synthetic": (
@@ -29,12 +31,10 @@ DIGESTS = {
             "synthetic.vocab_k=32",
             "synthetic.p_tool_required=0.5",
         ],
-        {},
         "5850f198588456d94d85e64ebe4f02e5c8d8c205c240b1d4ea003f9f4071647a",
     ),
     "quota": (
         ['workload.quota={"beta": 0.5, "alpha": 0.8}', "workload.n_queries=100"],
-        {},
         "f60549b74dd39fd80a2c6442c1d48871086f30f78783bb2e779e520d5587e1af",
     ),
     "sweeps": (
@@ -46,12 +46,10 @@ DIGESTS = {
             "calibration.n_taus=5",
             "calibration.bandwidth=0.05",
         ],
-        {},
         "915f5046366bd99015e1727df75457e629319d5d91ab200fb7a3834948cb840c",
     ),
     "schedule": (
         ["schedule.mode=measured", "schedule.agentic_workers=3", "schedule.frontend_workers=2"],
-        {},
         "f6679404d266fc96cdb23dcbd3b10644430ec0a2562ef169495b9c87a1e1e811",
     ),
     "remote": (
@@ -63,18 +61,15 @@ DIGESTS = {
             "backend.exchange_log=x.jsonl",
             "backend.judge_prompt=hi",
         ],
-        {},
         "06db7ccc58300d01d373dd9be0bb0e2544df33e04db7e59fad098a2aab2e9938",
     ),
-    "bypass_off": ([], {"bypass": False}, "41da3e0f915661c5a314a2cd92f541d188d0fa40a4c0d7b32eb8699198dd634e"),
+    "bypass_off": (["bypass=false"], "41da3e0f915661c5a314a2cd92f541d188d0fa40a4c0d7b32eb8699198dd634e"),
     "endpoint_flag": (
-        [],
-        {"endpoint": REMOTE, "seed": 2},
+        [f"backend.endpoint={json.dumps(REMOTE)}", "backend.kind=remote", "seed=2"],
         "3a70b47b5500209dac8ebe34fdf99bc5917289415efac9a88615c0cdcec4a0df",
     ),
     "int_values": (
         ["gate.tau=0.5", "synthetic.judge_cost_s=1"],
-        {},
         "8b5af04544d1a4d55d519d5928d3d2d4ce405299393f9195ba31ac8653be88cf",
     ),
 }
@@ -82,15 +77,15 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_digest_is_stable(name):
-    overrides, keywords, digest = DIGESTS[name]
-    assert load_config(None, overrides, **keywords).digest() == digest
+    overrides, digest = DIGESTS[name]
+    assert load_config(None, overrides).digest() == digest
 
 
 @pytest.mark.parametrize("override", ["calibration.taus=[]", "ablation.thresholds=[]"])
 def test_empty_grid_digests_as_the_default(override):
     config = load_config(None, [override])
     assert config == load_config()
-    assert config.digest() == DIGESTS["default"][2]
+    assert config.digest() == DIGESTS["default"][1]
 
 
 def test_to_dict_shape():

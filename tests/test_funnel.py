@@ -28,7 +28,6 @@ from spec_funnel.funnel import (
     _clock,
     _list_schedule_makespan,
     serve_batch,
-    serve_batch_baseline,
     speedup_model,
     throughput_bound,
 )
@@ -186,7 +185,7 @@ class TestServeBatch:
         queries = make_workload(synthetic_config, 30)
         schedule = ScheduleConfig(frontend_workers=8, agentic_workers=2)
         _, stats = serve_batch(queries, gate_config, schedule, backend)
-        baseline_outcomes, baseline_stats = serve_batch_baseline(queries, schedule, backend)
+        baseline_outcomes, baseline_stats = serve_batch(queries, None, schedule, backend)
         assert baseline_stats.batch_makespan_s == stats.baseline_makespan_s
         assert baseline_stats.speedup == 1.0
         assert all(o.path is QueryPath.TOOL_REQUIRED_FALLBACK for o in baseline_outcomes)
@@ -267,7 +266,7 @@ class TestServeBatchUnderFailures:
         inner, queries, fail = setup
         backend = FaultyBackend(inner, fail)
         schedule = ScheduleConfig(agentic_workers=2, mode=ScheduleMode.MEASURED)
-        outcomes, stats = serve_batch_baseline(queries, schedule, backend)
+        outcomes, stats = serve_batch(queries, None, schedule, backend)
         assert stats.frontend_makespan_s == 0.0
         assert all(o.path is QueryPath.TOOL_REQUIRED_FALLBACK for o in outcomes)
         assert backend.calls == Counter(agentic=len(queries))
@@ -391,7 +390,7 @@ class TestSimulatedBaselineReuse:
         _, stats = serve_batch(queries, gate_config, schedule, backend)
         assert 0 < stats.n_accepted < stats.batch_size
         assert backend.calls["agentic"] == len(queries)  # not batch_size + n_residual
-        _, baseline = serve_batch_baseline(queries, schedule, SyntheticBackend(config))
+        _, baseline = serve_batch(queries, None, schedule, SyntheticBackend(config))
         assert stats.baseline_makespan_s == baseline.batch_makespan_s
 
     def test_failed_residual_counts_zero_and_is_not_retried(self, synthetic_config, gate_config):
@@ -410,7 +409,7 @@ class TestSimulatedBaselineReuse:
             0.0 if q.id in fail["agentic"] else inner.agentic_run(q).latency_s for q in queries
         ]
         assert stats.baseline_makespan_s == _list_schedule_makespan(durations, 2)
-        _, baseline = serve_batch_baseline(queries, schedule, FaultyBackend(inner, fail))
+        _, baseline = serve_batch(queries, None, schedule, FaultyBackend(inner, fail))
         assert stats.baseline_makespan_s == baseline.batch_makespan_s
 
 
@@ -454,7 +453,7 @@ class TestForeignExceptions:
         queries = make_workload(synthetic_config, 30)
         backend = BuggyBackend(SyntheticBackend(synthetic_config), "agentic_run")
         with pytest.raises(KeyError):
-            serve_batch_baseline(queries, ScheduleConfig(mode=mode), backend)
+            serve_batch(queries, None, ScheduleConfig(mode=mode), backend)
 
 
 def _oracle_stage_s(outcomes, schedule):
@@ -522,8 +521,8 @@ class TestSimulatedMakespansMatchOracle:
         assert stats.frontend_makespan_s == want["judge"] + want["speculate"]
         assert stats.fallback_makespan_s == want["agentic"]
 
-        baseline_outcomes, baseline = serve_batch_baseline(
-            queries, schedule, wrapper(SyntheticBackend(config), fail)
+        baseline_outcomes, baseline = serve_batch(
+            queries, None, schedule, wrapper(SyntheticBackend(config), fail)
         )
         want = _oracle_stage_s(in_input_order(baseline_outcomes), schedule)
         assert baseline.frontend_makespan_s == want["judge"] + want["speculate"] == 0.0
@@ -537,7 +536,7 @@ class TestSimulatedMakespansMatchOracle:
         queries = make_workload(config, 30)
         schedule = ScheduleConfig(agentic_workers=agentic_workers)
         outcomes, stats = serve_batch(queries, GateConfig(tau=0.9), schedule, SyntheticBackend(config))
-        baseline_outcomes, baseline = serve_batch_baseline(queries, schedule, SyntheticBackend(config))
+        baseline_outcomes, baseline = serve_batch(queries, None, schedule, SyntheticBackend(config))
         # each call has a worker of its own, so a stage lasts as long as its longest call
         residual = [o.latency.agentic_s for o in outcomes if o.path is not QueryPath.SPECULATION_ACCEPTED]
         assert stats.fallback_makespan_s == max(residual)
@@ -735,3 +734,41 @@ class TestSimulatedClockBoundsMeasured:
         run_simulated, simulated = _clock(ScheduleConfig(frontend_workers=workers, agentic_workers=workers))
         run_simulated(stage, lambda cost: (cost,), costs)
         assert 0.0 < simulated[stage] <= measured[stage]
+
+
+class SleepingBackend:
+    """SyntheticBackend wrapper whose routes sleep 2 ms and record each call
+    as (route, start, end), read by perf_counter."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []  # list.append is atomic, so no call goes unrecorded
+
+    def _call(self, route, query):
+        start = time.perf_counter()
+        time.sleep(0.002)
+        result = getattr(self.inner, route)(query)
+        self.calls.append((route, start, time.perf_counter()))
+        return result
+
+    def judge(self, query):
+        return self._call("judge", query)
+
+    def speculate(self, query):
+        return self._call("speculate", query)
+
+    def agentic_run(self, query):
+        return self._call("agentic_run", query)
+
+
+class TestMeasuredStagesDoNotOverlap:
+    def test_each_stage_ends_before_the_next_starts(self, synthetic_config, gate_config):
+        backend = SleepingBackend(SyntheticBackend(synthetic_config))
+        queries = make_workload(synthetic_config, 40)
+        _, stats = serve_batch(queries, gate_config, _measured(frontend_workers=2, agentic_workers=2), backend)
+        assert stats.n_toolfree > 0 and stats.n_residual > 0
+        routes = ["judge", "speculate", "agentic_run"]
+        first_start = {r: min(start for route, start, _ in backend.calls if route == r) for r in routes}
+        last_end = {r: max(end for route, _, end in backend.calls if route == r) for r in routes}
+        for earlier, later in zip(routes, routes[1:]):
+            assert last_end[earlier] < first_start[later]

@@ -144,7 +144,7 @@ def test_top_k_matches_direct_rescoring(tmp_path, monkeypatch, with_failures, ta
     assert cli.main(["ablate", "--axis", "top_k", "--out", str(tmp_path), *argv]) == cli.EXIT_OK
     with open(tmp_path / "ablate_top_k.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    config = load_config(None, [f"workload.n_queries={N_QUERIES}", f"gate.tau={tau}"], seed=SEED)
+    config = load_config(None, [f"workload.n_queries={N_QUERIES}", f"gate.tau={tau}", f"seed={SEED}"])
     expected = _old_top_k_rows(config, CountingBackend(SyntheticBackend(config.synthetic), fail))
     assert rows == expected
     assert len({row[1] for row in rows}) > 1  # the window size matters

@@ -19,7 +19,6 @@ import pytest
 from spec_funnel.backends import remote
 from spec_funnel.backends.base import Query
 from spec_funnel.backends.remote import (
-    LoggedSpeculation,
     RemoteBackend,
     iter_exchanges,
     parse_agentic_response,
@@ -294,6 +293,17 @@ class TestErrorContracts:
                 {"answer": "B", "depth": 3, "step_costs": [[0.5, 0.2]], "latency_s": 0.7},
                 max_steps=5,
             )
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"depth": -1, "step_costs": []}, {"depth": 2, "step_costs": [[1.0, 0.0]]}],
+        ids=["negative-depth", "depth-not-steps"],
+    )
+    def test_depth_is_checked_at_the_wire(self, body):
+        # AgenticOutput derives its depth from its steps, so only the wire
+        # can carry a depth that disagrees with them
+        with pytest.raises(BackendUnavailable, match="step_costs"):
+            parse_agentic_response({"answer": "B", **body}, max_steps=5)
 
     def test_truncation_flagged_at_cap(self):
         body = {
@@ -596,7 +606,7 @@ class TestExchangeLogAndReplay:
             backend.judge(query)
             live[qid] = backend.speculate(query)
         replayed = {
-            entry["request"]["id"]: LoggedSpeculation(entry["response"], 5).speculate(Query(id=entry["request"]["id"]))
+            entry["request"]["id"]: parse_speculate_response(entry["response"], 5)
             for entry in iter_exchanges(log_path)
             if entry["route"] == "/speculate"
         }
@@ -628,6 +638,14 @@ class TestExchangeLogAndReplay:
         backend.speculate(Query(id="q5"))
         backend.close()
         assert [entry["request"]["id"] for entry in iter_exchanges(log_path)] == ["q1", "q2", "q3", "q4", "q5"]
+
+    @pytest.mark.parametrize("where", ["missing/dir/x.jsonl", "."], ids=["missing_directory", "a_directory"])
+    def test_unwritable_log_exits_2_naming_it(self, stub_server, tmp_path, capsys, where):
+        log, out = tmp_path / where, tmp_path / "o"
+        args = ["run", "--endpoint", stub_server, "--set", f"backend.exchange_log={log}", "--out", str(out)]
+        assert main([*args, "--set", "workload.n_queries=4"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: unwritable exchange log {log}: ")
+        assert list(out.iterdir()) == []  # no data file, and no manifest
 
     @pytest.mark.parametrize(
         "entry, code, err",
@@ -816,8 +834,6 @@ class TestParserEdgeCases:
         # -1 used to drop each token's last logprob without a word
         with pytest.raises(ValidationError):
             parse_speculate_response(speculate_body(), top_logprobs)
-        with pytest.raises(ValidationError):
-            LoggedSpeculation({}, top_logprobs).speculate(QUERY)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5", TOO_LARGE])
     def test_non_finite_latency_unavailable(self, value):
