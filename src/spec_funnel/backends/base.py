@@ -142,8 +142,11 @@ class AgenticOutput:
         object.__setattr__(self, "step_costs", costs)
         if any(a < 0.0 or b < 0.0 for a, b in costs):
             raise ValidationError("step costs must be >= 0")
-        if not math.isfinite(self.latency_s):
-            raise ValidationError("step costs must be finite")
+        try:
+            if not math.isfinite(self.latency_s):
+                raise OverflowError
+        except OverflowError:  # also raised by fsum for finite costs whose sum no float holds
+            raise ValidationError("step costs must be finite") from None
 
     @property
     def depth(self) -> int:
@@ -225,11 +228,14 @@ def _seed_states(pool: np.ndarray) -> np.ndarray:
     pool array: eight uint32 words drawn from the pool, paired into uint64
     words as lo | hi << 32, as SeedSequence pairs them little-endian."""
     const = _INIT_B
-    words = []
+    states = np.empty((len(pool), 4), dtype=np.uint64)
     for i in range(8):
         word, const = _hashmix(pool[:, i % 4], const, _MULT_B)
-        words.append(word.astype(np.uint64))
-    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+        if i % 2:
+            states[:, i // 2] |= word.astype(np.uint64) << 32
+        else:
+            states[:, i // 2] = word
+    return states
 
 
 class _SeedState(ISeedSequence):
@@ -245,15 +251,32 @@ class _SeedState(ISeedSequence):
         return self.state
 
 
-def substreams(seed: int, key_paths) -> Iterator[np.random.Generator]:
-    """substream(seed, *keys) for each key path in order, state for state.
-
-    Each path is hashed, and the seed states of all of them are mixed in one
-    vectorized pass, when this is called; each Generator is built as it is
-    taken.
-    """
+def seed_states(seed: int, key_paths) -> np.ndarray:
+    """The seed state of substream(seed, *keys) for each key path, as an
+    (n, 4) uint64 array: each path is hashed, and the states of all of them
+    are mixed in one vectorized pass."""
     digests = bytearray()
     for keys in key_paths:
         digests += _entropy(seed, keys)
-    entropy = np.frombuffer(digests, "<u4").reshape(-1, 4)
-    return (Generator(PCG64(_SeedState(state))) for state in _seed_states(_pool(entropy)))
+    return _seed_states(_pool(np.frombuffer(digests, "<u4").reshape(-1, 4)))
+
+
+def seeded(state: np.ndarray) -> np.random.Generator:
+    """The stream whose seed state is one row of seed_states."""
+    return Generator(PCG64(_SeedState(state)))
+
+
+_BATCH_MIN = 32  # below this many paths the vectorized pass's fixed cost (~175 us) outweighs its saving
+
+
+def substreams(seed: int, key_paths) -> Iterator[np.random.Generator]:
+    """substream(seed, *keys) for each key path in order, state for state.
+
+    A list of at least _BATCH_MIN paths is seeded by seed_states when this
+    is called, a shorter one path by path; each Generator is built as it is
+    taken.
+    """
+    paths = list(key_paths)
+    if len(paths) < _BATCH_MIN:
+        return (substream(seed, *keys) for keys in paths)
+    return map(seeded, seed_states(seed, paths))

@@ -9,6 +9,7 @@ step's observation.
 """
 
 import functools
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 from ..bounds import COUNT, UNIT, Range, check, check_bounds
 from ..errors import ValidationError
 from ..gate import AnswerLogits, TokenLogits
-from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, substream, substreams
+from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, seed_states, seeded, substream, substreams
 
 __all__ = [
     "Uniform",
@@ -181,7 +182,7 @@ def separability_floor(width: int) -> float:
 
 
 def agentic_step_stream(seed: int, query_id: str, step: int, previous_observation: str):
-    """RNG for one tool-loop step.
+    """RNG for one tool-loop step, as SyntheticBackend seeds it.
 
     Keyed on the previous step's observation, which is what makes the loop
     stateful: perturbing step d's observation changes every draw of step d+1.
@@ -197,10 +198,26 @@ def wrong_answer(truth: str) -> str:
 
 
 class SyntheticBackend:
-    """Backend with scripted accuracy/latency statistics and seeded streams."""
+    """Backend with scripted accuracy/latency statistics and seeded streams.
 
-    def __init__(self, config: SyntheticConfig):
+    Given the queries a command will ask about, it seeds their judge and
+    speculate streams in one pass and runs their tool loops together, one
+    array row per query; any other query's loop runs as a batch of one. A
+    route returns the same for a query either way.
+    """
+
+    def __init__(self, config: SyntheticConfig, queries=()):
         self.config = config
+        queries = list(queries)
+        self._rows = {query: row for row, query in enumerate(queries)}
+        if queries:  # else skip the vectorized passes' fixed cost: no route reads these
+            states = seed_states(config.seed, ((q.id, phase) for q in queries for phase in ("judge", "speculate")))
+            self._states = {"judge": states[0::2], "speculate": states[1::2]}
+            self._loops = self._run_loops(queries)
+
+    def _stream(self, query: Query, phase: str) -> np.random.Generator:
+        row = self._rows.get(query)
+        return substream(self.config.seed, query.id, phase) if row is None else seeded(self._states[phase][row])
 
     def _latents(self, query: Query) -> tuple[bool, int]:
         # A fully pinned query needs no stream. Otherwise both latents are
@@ -227,14 +244,14 @@ class SyntheticBackend:
         if query.true_draft_correct is not None:
             flipped = False  # pinned query: screening is exact
         else:
-            rng = substream(self.config.seed, query.id, "judge")
+            rng = self._stream(query, "judge")
             flipped = bool(rng.random() >= self.config.judge_accuracy)
         return JudgeOutput(g=int(requires != flipped), latency_s=self.config.judge_cost_s)
 
     def speculate(self, query: Query) -> SpeculativeAnswer:
         cfg = self.config
         requires, _ = self._latents(query)
-        rng = substream(cfg.seed, query.id, "speculate")
+        rng = self._stream(query, "speculate")
         accuracy = cfg.draft_accuracy_toolreq if requires else cfg.draft_accuracy_toolfree
         correct = bool(rng.random() < accuracy)
         n_tokens = sample_weighted(rng, cfg.answer_len_weights)
@@ -253,25 +270,47 @@ class SyntheticBackend:
         answer = truth if correct else wrong_answer(truth)
         return SpeculativeAnswer(answer=answer, token_logits=token_logits, latency_s=cfg.speculate_cost_s)
 
+    def _run_loops(self, queries: list[Query]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The queries' tool loops, run together one step index at a time:
+        step d's streams of all loops still running, each keyed on its
+        loop's observation from step d - 1, are seeded in one substreams
+        pass, and a loop of depth d draws its answer from step d's stream.
+        Returns every tool cost, flat in query order; each query's offset
+        into them, then the total; and each query's (correct, truncated)."""
+        cfg = self.config
+        true_depths = [self._latents(query)[1] for query in queries]
+        depths = [min(depth, cfg.depth_cap) for depth in true_depths]
+        offsets = np.array([0, *itertools.accumulate(depths)])
+        tool_costs = np.empty(offsets[-1])
+        flags = np.zeros((len(queries), 2), dtype=bool)
+        flags[:, 1] = [depth > cfg.depth_cap for depth in true_depths]
+        observations = [f"s0:{query.id}" for query in queries]
+        running = range(len(queries))
+        step = 0
+        while running:
+            keys = [(queries[i].id, "agentic", step, observations[i]) for i in running]
+            for i, rng in zip(running, substreams(cfg.seed, keys)):
+                if step < depths[i]:
+                    tool_costs[offsets[i] + step] = cfg.tool_cost.sample(rng)
+                    # rng.bytes(8).hex() without numpy's uint32 path: after one
+                    # uniform no 32-bit half is buffered, so the bits are the same
+                    observations[i] = rng.bit_generator.random_raw().to_bytes(8, "little").hex()
+                else:
+                    flags[i, 0] = rng.random() < cfg.agentic_accuracy
+            running = [i for i in running if depths[i] > step]
+            step += 1
+        return tool_costs, offsets, flags
+
     def agentic_run(self, query: Query) -> AgenticOutput:
         cfg = self.config
-        _, true_depth = self._latents(query)
-        depth = min(true_depth, cfg.depth_cap)
-        truncated = true_depth > cfg.depth_cap
-        observation = f"s0:{query.id}"
-        steps = []
-        for step in range(depth):
-            rng = agentic_step_stream(cfg.seed, query.id, step, observation)
-            steps.append((cfg.llm_step_cost_s, cfg.tool_cost.sample(rng)))
-            # rng.bytes(8).hex() without numpy's uint32 path: after one
-            # uniform no 32-bit half is buffered, so the bits are the same
-            observation = rng.bit_generator.random_raw().to_bytes(8, "little").hex()
-        final = agentic_step_stream(cfg.seed, query.id, depth, observation)
-        correct = bool(final.random() < cfg.agentic_accuracy)
+        row = self._rows.get(query)
+        tool_costs, offsets, flags = self._loops if row is not None else self._run_loops([query])
+        row = row or 0  # a batch of one's only row
+        steps = [(cfg.llm_step_cost_s, tool_s) for tool_s in tool_costs[offsets[row] : offsets[row + 1]].tolist()]
         steps.append((cfg.llm_step_cost_s, 0.0))  # answer emission, no tool
+        correct, truncated = flags[row].tolist()
         truth = self._ground_truth(query)
-        answer = truth if correct else wrong_answer(truth)
-        return AgenticOutput(answer, steps, truncated=truncated)
+        return AgenticOutput(truth if correct else wrong_answer(truth), steps, truncated=truncated)
 
 
 def make_workload(config: SyntheticConfig, n_queries: int) -> list[Query]:

@@ -54,14 +54,15 @@ def check(bounds: Range, **values) -> None:
     values of a mapping one by one, to `bounds`; a value that is not a
     number is left to its user. A NaN lies in no Range."""
     for name, value in values.items():
-        if isinstance(value, Mapping):
-            items, label = value.items(), "{}.{}"
-        elif isinstance(value, (tuple, list)):
-            items, label = enumerate(value), "{}[{}]"
-        else:
+        # exact types first: a plain float or int is the common case, and the ABC checks are slow
+        if type(value) in (float, int) or not isinstance(value, (Mapping, tuple, list)):
             items, label = ((None, value),), "{}"
+        elif isinstance(value, Mapping):
+            items, label = value.items(), "{}.{}"
+        else:
+            items, label = enumerate(value), "{}[{}]"
         for key, v in items:
-            if isinstance(v, Real) and v not in bounds:
+            if (type(v) in (float, int) or isinstance(v, Real)) and v not in bounds:
                 raise ValidationError(f"{label.format(name, key)} must lie in {bounds}")
 
 

@@ -82,9 +82,9 @@ _EXITS = {
 }
 
 
-def _build_backend(config: RunConfig):
+def _build_backend(config: RunConfig, queries=()):
     if config.backend.kind == "synthetic":
-        return SyntheticBackend(config.synthetic)
+        return SyntheticBackend(config.synthetic, queries)
     endpoint = config.backend.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
     if not endpoint:
         raise ConfigError(
@@ -102,10 +102,10 @@ def _build_backend(config: RunConfig):
 
 
 @contextmanager
-def _backend(config: RunConfig):
-    """The configured backend; a remote one's connections are closed when the
-    command ends."""
-    backend = _build_backend(config)
+def _backend(config: RunConfig, queries=()):
+    """The configured backend, told the `queries` it will be asked about; a
+    remote one's connections are closed when the command ends."""
+    backend = _build_backend(config, queries)
     try:
         yield backend
     finally:
@@ -179,8 +179,8 @@ def _now() -> str:
 
 
 def cmd_run(config: RunConfig, args) -> tuple[dict, str]:
-    with _backend(config) as backend:
-        workload = _build_workload(config)
+    workload = _build_workload(config)
+    with _backend(config, workload) as backend:
         outcomes, stats = serve_batch(workload, config.gate if config.bypass else None, config.schedule, backend)
     if all(o.error for o in outcomes):
         raise BackendUnavailable(f"every query failed; first error: {outcomes[0].error}")
@@ -216,7 +216,7 @@ def _warn_failed(command: str, n_failed: int) -> None:
         print(f"{command}: warning: {n_failed} backend calls failed and were left out", file=sys.stderr)
 
 
-def _offline_sweep(command: str, config: RunConfig, backend, gate_configs, taus):
+def _offline_sweep(command: str, config: RunConfig, gate_configs, taus):
     """Collect scores under each gate config and sweep each collection.
 
     One judge, one draft and one agentic call per query, whatever the number
@@ -225,11 +225,12 @@ def _offline_sweep(command: str, config: RunConfig, backend, gate_configs, taus)
     operating points, the fallback accuracy and the mean costs.
     """
     workload = _build_workload(config)
-    collections = cal.collect_score_sets(workload, gate_configs, backend)
-    first = collections[0]
-    if not first.samples:
-        raise DegenerateDistribution("screening left no tool-free queries to score")
-    fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
+    with _backend(config, workload) as backend:
+        collections = cal.collect_score_sets(workload, gate_configs, backend)
+        first = collections[0]
+        if not first.samples:
+            raise DegenerateDistribution("screening left no tool-free queries to score")
+        fallback_accuracy, agentic_mean_s, n_agentic_failed = _agentic_reference(workload, backend)
     _warn_failed(command, first.n_failed + first.n_judge_failed + n_agentic_failed)
     costs = cal.CostSummary(first.mean_judge_s, first.mean_speculate_s, agentic_mean_s)
     sweeps = [
@@ -255,10 +256,9 @@ def _by_label(samples):
 
 
 def cmd_calibrate(config: RunConfig, args) -> tuple[dict, str]:
-    with _backend(config) as backend:
-        (collection,), (points,), fallback_accuracy, costs = _offline_sweep(
-            "calibrate", config, backend, [config.gate], config.calibration.taus
-        )
+    (collection,), (points,), fallback_accuracy, costs = _offline_sweep(
+        "calibrate", config, [config.gate], config.calibration.taus
+    )
     choice = cal.choose_threshold(points, fallback_accuracy)
     samples = collection.samples
     correct_scores, incorrect_scores = _by_label(samples)
@@ -307,38 +307,37 @@ def cmd_calibrate(config: RunConfig, args) -> tuple[dict, str]:
     )
 
 
-def _ablate_threshold(config, backend) -> list:
-    _, (points,), _, _ = _offline_sweep(
-        "ablate threshold", config, backend, [config.gate], config.ablation.thresholds
-    )
+def _ablate_threshold(config) -> list:
+    _, (points,), _, _ = _offline_sweep("ablate threshold", config, [config.gate], config.ablation.thresholds)
     return _operating_point_rows(points)
 
 
-def _ablate_batch_size(config, backend) -> list:
+def _ablate_batch_size(config) -> list:
     rows = []
-    for batch_size in config.ablation.batch_sizes:
-        workload = _build_workload(config, n_queries=batch_size)
-        schedule = replace(config.schedule, frontend_workers=batch_size)
-        outcomes, stats = serve_batch(workload, config.gate, schedule, backend)
-        analytic = cal.analytic_speedup(stats.beta_hat, stats.alpha_hat)
-        makespans = [stats.batch_makespan_s, stats.baseline_makespan_s]
-        rows.append([batch_size, _accuracy(outcomes), stats.speedup, analytic, *makespans])
+    with _backend(config) as backend:
+        for batch_size in config.ablation.batch_sizes:
+            workload = _build_workload(config, n_queries=batch_size)
+            schedule = replace(config.schedule, frontend_workers=batch_size)
+            outcomes, stats = serve_batch(workload, config.gate, schedule, backend)
+            analytic = cal.analytic_speedup(stats.beta_hat, stats.alpha_hat)
+            makespans = [stats.batch_makespan_s, stats.baseline_makespan_s]
+            rows.append([batch_size, _accuracy(outcomes), stats.speedup, analytic, *makespans])
     return rows
 
 
-def _ablate_top_k(config, backend) -> list:
+def _ablate_top_k(config) -> list:
     top_k = config.ablation.top_k
     _, sweeps, _, _ = _offline_sweep(
-        "ablate top_k", config, backend, [replace(config.gate, k=k) for k in top_k], [config.gate.tau]
+        "ablate top_k", config, [replace(config.gate, k=k) for k in top_k], [config.gate.tau]
     )
     return [[k, p.acceptance_rate, p.accuracy, p.analytic_speedup] for k, (p,) in zip(top_k, sweeps)]
 
 
-def _ablate_aggregation(config, backend) -> list:
+def _ablate_aggregation(config) -> list:
     """The chosen operating point of each scoring strategy, each swept over
     its own default tau grid."""
     collections, sweeps, fallback_accuracy, _ = _offline_sweep(
-        "ablate aggregation", config, backend, [replace(config.gate, aggregation=s) for s in Scoring], None
+        "ablate aggregation", config, [replace(config.gate, aggregation=s) for s in Scoring], None
     )
     rows = []
     for strategy, collection, points in zip(Scoring, collections, sweeps):
@@ -362,8 +361,7 @@ _ABLATE_AXES = {
 
 def cmd_ablate(config: RunConfig, args) -> tuple[dict, str]:
     build_rows, header, unit = _ABLATE_AXES[args.axis]
-    with _backend(config) as backend:
-        rows = build_rows(config, backend)
+    rows = build_rows(config)
     name = f"ablate_{args.axis}.csv"
     return {name: (header, rows)}, f"ablate {args.axis}: {len(rows)} {unit} -> {Path(args.out) / name}"
 

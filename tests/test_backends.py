@@ -198,6 +198,10 @@ class TestNonFiniteLatencyRejected:
         with pytest.raises(ValidationError):
             AgenticOutput("A", [(1.0, cost), (1.0, 0.0)])
 
+    def test_agentic_output_whose_finite_costs_sum_past_the_largest_float(self):
+        with pytest.raises(ValidationError, match="step costs must be finite"):
+            AgenticOutput("A", [(1e308, 1e308)])
+
 
 class TestWorkloads:
     def test_bernoulli_beta_convergence(self):

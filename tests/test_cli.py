@@ -198,13 +198,19 @@ class TestRunCommand:
         rc = main(["run", "--out", str(tmp_path / "o"), "--set", "gate.tau=1.5"])
         assert rc == 2
 
+    def test_step_costs_whose_sum_overflows_exit_2_and_write_no_data(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--out", str(out), "--set", "synthetic.llm_step_cost_s=1e308", *SMALL]) == 2
+        assert capsys.readouterr().err == "config error: step costs must be finite\n"
+        assert not any((out / n).exists() for n in ("outcomes.jsonl", "funnel_stats.json", "summary.csv"))
+
     @pytest.mark.parametrize("mode", ["simulated", "measured"])
     def test_foreign_backend_error_propagates_and_writes_no_data(self, tmp_path, monkeypatch, mode):
         class Buggy(SyntheticBackend):
             def agentic_run(self, query):
                 raise KeyError(query.id)
 
-        monkeypatch.setattr(cli, "_build_backend", lambda config: Buggy(config.synthetic))
+        monkeypatch.setattr(cli, "_build_backend", lambda config, queries=(): Buggy(config.synthetic, queries))
         out = tmp_path / "run"
         with pytest.raises(KeyError):
             main(["run", "--out", str(out), "--set", f"schedule.mode={mode}", *SMALL])

@@ -35,6 +35,9 @@ REPLAY_DIGEST = "8ea605bb58916cad247da91cd774afbecd9b98c2e7b126575b4dd01322fc8da
 # token with fewer logits than k, so each scored record carries top_k_clamped.
 # Equal digests are expected: LOG_CONF ignores k, and at bottom_ratio=0.2 an
 # answer of at most five tokens averages only its lowest score, as MIN does.
+# The quota spec pins every query's screening and draft, and depth_cap=2
+# truncates every loop deeper than two steps; both were recorded before the
+# synthetic backend ran the tool loops of a whole workload together.
 RUN_DIGESTS = {
     "gate.aggregation=log_conf": "f94eef91b358a1908ecdb30039867c12a7a431a6cd300cf264d46767d1cc63cb",
     "gate.aggregation=mean": "46faf7f4982a292fcba1a63d9a8af5c263430fe8ac82a67b4ee409fc44802898",
@@ -47,6 +50,8 @@ RUN_DIGESTS = {
     "synthetic.vocab_k=5 gate.aggregation=log_conf": "203e97628c90272a7dc8d714a1a37d74fa60a83ff63f3f4a2631505e62f37225",
     "synthetic.vocab_k=5 gate.aggregation=mean": "f918dddc8f02f23a4936f3ee4e5da9f1168b339ec26751a6858f39e35be045dc",
     "synthetic.vocab_k=5 gate.aggregation=bottom_r": "5aa4913243b40207fb5f0b7bd1f6047f02b42b5dc98418e749c005d159506695",
+    "workload.quota.beta=0.6 workload.quota.alpha=0.5": "165c3228bd5a9aa624ddfeb8ea03c77427fa4ea9b05935d6558e3f54fd040d63",
+    "synthetic.depth_cap=2": "c611d05d8397acdc00cedbaf6fbe1964122f388481920bf33fd3051778e90f7c",
 }
 RAGGED_REPLAY_DIGESTS = {
     "gate.aggregation=min": "2c0d1f1ccf4b2b002ead244ab26be1ca2ef270991e579c08bc55d0bd4a9e2cde",

@@ -180,6 +180,20 @@ class TestServeBatch:
         assert stats.batch_makespan_s > 0.0
         assert stats.baseline_makespan_s is None and stats.speedup is None
 
+    def test_measured_threads_share_a_preseeded_backend(self, synthetic_config, gate_config):
+        # more workers than cores, switching often: every thread reads the
+        # rows the backend seeded for the workload, and nothing else
+        queries = make_workload(synthetic_config, 60)
+        simulated, _ = serve_batch(queries, gate_config, ScheduleConfig(), SyntheticBackend(synthetic_config))
+        schedule = ScheduleConfig(frontend_workers=8, agentic_workers=4, mode=ScheduleMode.MEASURED)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            measured, _ = serve_batch(queries, gate_config, schedule, SyntheticBackend(synthetic_config, queries))
+        finally:
+            sys.setswitchinterval(interval)
+        assert measured == simulated
+
     def test_baseline_run_matches_internal_baseline(self, synthetic_config, gate_config):
         backend = SyntheticBackend(synthetic_config)
         queries = make_workload(synthetic_config, 30)

@@ -72,8 +72,8 @@ def test_collect_scores_skips_failed_drafts(workload, gate_config):
 
 
 def _fail_in_cli(monkeypatch, fail):
-    def build(config):
-        return FailingBackend(SyntheticBackend(config), fail)
+    def build(config, queries=()):
+        return FailingBackend(SyntheticBackend(config, queries), fail)
 
     monkeypatch.setattr(cli, "SyntheticBackend", build)
 

@@ -47,6 +47,11 @@ class CountingBackend:
         return self._call("agentic_run", query)
 
 
+def _counting(fail):
+    """A stand-in for the CLI's SyntheticBackend that wraps it in a CountingBackend."""
+    return lambda config, queries=(): CountingBackend(SyntheticBackend(config, queries), fail)
+
+
 def _queries():
     config = SyntheticConfig(seed=SEED)
     return SyntheticBackend(config), make_workload(config, N_QUERIES)
@@ -64,8 +69,8 @@ def _failures(inner, queries):
 def _run_cli(monkeypatch, tmp_path, fail, *command):
     made = []
 
-    def build(config):
-        made.append(CountingBackend(SyntheticBackend(config), fail))
+    def build(config, queries=()):
+        made.append(CountingBackend(SyntheticBackend(config, queries), fail))
         return made[-1]
 
     monkeypatch.setattr(cli, "SyntheticBackend", build)
@@ -139,7 +144,7 @@ def _old_top_k_rows(config, backend):
 def test_top_k_matches_direct_rescoring(tmp_path, monkeypatch, with_failures, tau):
     inner, queries = _queries()
     fail = _failures(inner, queries) if with_failures else None
-    monkeypatch.setattr(cli, "SyntheticBackend", lambda config: CountingBackend(SyntheticBackend(config), fail))
+    monkeypatch.setattr(cli, "SyntheticBackend", _counting(fail))
     argv = ["--seed", str(SEED), "--set", f"workload.n_queries={N_QUERIES}", "--set", f"gate.tau={tau}"]
     assert cli.main(["ablate", "--axis", "top_k", "--out", str(tmp_path), *argv]) == cli.EXIT_OK
     with open(tmp_path / "ablate_top_k.csv", encoding="utf-8", newline="") as fh:
@@ -153,6 +158,6 @@ def test_top_k_matches_direct_rescoring(tmp_path, monkeypatch, with_failures, ta
 def test_top_k_without_tool_free_queries_is_degenerate_before_agentic(tmp_path, monkeypatch):
     inner, queries = _queries()
     fail = {"speculate": {q.id for q in queries}, "agentic_run": {q.id for q in queries}}
-    monkeypatch.setattr(cli, "SyntheticBackend", lambda config: CountingBackend(SyntheticBackend(config), fail))
+    monkeypatch.setattr(cli, "SyntheticBackend", _counting(fail))
     argv = ["ablate", "--axis", "top_k", "--out", str(tmp_path), "--seed", str(SEED)]
     assert cli.main([*argv, "--set", f"workload.n_queries={N_QUERIES}"]) == cli.EXIT_DEGENERATE

@@ -27,7 +27,8 @@ from spec_funnel.backends.remote import (
 )
 from spec_funnel.cli import main
 from spec_funnel.errors import BackendUnavailable, ValidationError
-from spec_funnel.gate import AnswerLogits, TokenLogits
+from spec_funnel.gate import AnswerLogits, GateConfig, TokenLogits
+from spec_funnel.pipeline import process_query
 
 # a JSON integer no float can hold; float() of it raises OverflowError
 TOO_LARGE = pytest.param(int("9" * 401), id="int_too_large")
@@ -88,6 +89,8 @@ class StubHandler(BaseHTTPRequestHandler):
                 "step_costs": [[0.5, 0.2], [0.5, 0.3], [0.5, 0.0]],
                 "latency_s": 2.0,
             }
+            if behavior == "overflow":
+                body = {"answer": "B", "depth": 0, "step_costs": [[1e308, 1e308]], "latency_s": 1.0}
         else:
             self.send_response(404)
             self.end_headers()
@@ -304,6 +307,18 @@ class TestErrorContracts:
         # can carry a depth that disagrees with them
         with pytest.raises(BackendUnavailable, match="step_costs"):
             parse_agentic_response({"answer": "B", **body}, max_steps=5)
+
+    def test_step_costs_whose_sum_overflows_unavailable(self):
+        body = {"answer": "B", "depth": 0, "step_costs": [[1e308, 1e308]]}
+        with pytest.raises(BackendUnavailable, match="step costs must be finite"):
+            parse_agentic_response(body, 5)
+
+    def test_overflowing_agentic_reply_is_a_recorded_outcome_error(self, stub_server):
+        StubHandler.behaviors = {"/agentic": "overflow"}
+        needs_tools = Query(id="q2", question="zoom in on the tool shed")
+        outcome = process_query(needs_tools, GateConfig(), RemoteBackend(stub_server))
+        assert outcome.answer == "" and outcome.latency.agentic_s == 0.0
+        assert "step costs must be finite" in outcome.error
 
     def test_truncation_flagged_at_cap(self):
         body = {

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
 from spec_funnel.backends import base, synthetic
@@ -192,15 +194,33 @@ class TestSubstreamBatch:
             assert next(streams).bit_generator.state == substream(seed, *keys).bit_generator.state
         assert next(streams, None) is None
 
+    @pytest.mark.parametrize("offset", [-31, -1, 0, 1, 33])
+    def test_either_side_of_the_short_list_cutoff(self, offset):
+        # a list shorter than _BATCH_MIN is seeded path by path, a longer one
+        # in one vectorized pass; seed_states mixes any number in one pass
+        count = base._BATCH_MIN + offset
+        paths = _key_paths(count, np.random.default_rng(count))
+        streams = list(substreams(5, paths))
+        states = base.seed_states(5, paths)
+        assert len(streams) == len(states) == count
+        for keys, rng, state in zip(paths, streams, states):
+            expected = substream(5, *keys).bit_generator.state
+            assert rng.bit_generator.state == expected
+            assert base.seeded(state).bit_generator.state == expected
+
     def test_empty_batch(self):
         assert list(substreams(0, [])) == []
+        assert base.seed_states(0, []).shape == (0, 4)
 
     def test_batch_of_one(self):
         (rng,) = substreams(7, [("q000123", "speculate")])
         assert rng.bit_generator.state == substream(7, "q000123", "speculate").bit_generator.state
         assert rng.random() == 0.10952422060681888  # TestSubstreamBits' recorded first draw
+        (state,) = base.seed_states(7, [("q000123", "speculate")])
+        seeded = base.seeded(state)
+        assert seeded.random() == 0.10952422060681888
         with pytest.raises(ValueError):  # the seed holds PCG64's four words, nothing else
-            rng.bit_generator.seed_seq.generate_state(8)
+            seeded.bit_generator.seed_seq.generate_state(8)
 
 
 def _workload_oracle(config, n_queries, pin=lambda i: (None, None)):
@@ -243,3 +263,87 @@ class TestWorkloadStreams:
         n_accept = math.floor(Fraction("0.71") * n_toolfree)
         expected = _workload_oracle(config, n_queries, lambda i: (i >= n_toolfree, i < n_accept))
         assert make_quota_workload(config, n_queries, 0.8, 0.71) == expected
+
+
+def _agentic_oracle(config, query):
+    """The tool loop one query at a time, one agentic_step_stream per step:
+    (tool costs, correct, truncated)."""
+    backend = SyntheticBackend(config)
+    _, true_depth = backend._latents(query)
+    observation = f"s0:{query.id}"
+    tool_costs = []
+    for step in range(min(true_depth, config.depth_cap)):
+        rng = agentic_step_stream(config.seed, query.id, step, observation)
+        tool_costs.append(config.tool_cost.sample(rng))
+        observation = rng.bytes(8).hex()
+    final = agentic_step_stream(config.seed, query.id, len(tool_costs), observation)
+    return tool_costs, bool(final.random() < config.agentic_accuracy), true_depth > config.depth_cap
+
+
+_weights = st.dictionaries(st.integers(0, 7), st.floats(0.05, 5.0), min_size=1, max_size=4)
+_pins = st.tuples(st.none() | st.booleans(), st.none() | st.integers(0, 9), st.none() | st.booleans())
+
+
+def _pinned(qid, pins):
+    requires, depth, draft = pins
+    return Query(id=qid, true_requires_tools=requires, true_depth=depth, true_draft_correct=draft)
+
+
+class TestPreseededBackend:
+    """A backend given the queries up front answers each route exactly as
+    one given none, for queries inside and outside the list, and again on a
+    second call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**40),
+        p_tool_required=st.floats(0.0, 1.0),
+        depth_weights=_weights,
+        answer_len_weights=_weights.map(lambda w: {k + 1: v for k, v in w.items()}),
+        depth_cap=st.integers(1, 6),
+        tool_low=st.floats(0.0, 2.0),
+        accuracies=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        quota=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        n_queries=st.integers(1, 40),
+        listed_pins=st.lists(_pins, max_size=4),
+        outside_pins=st.lists(_pins, max_size=4),
+    )
+    def test_routes_match_a_backend_given_no_queries(
+        self, seed, p_tool_required, depth_weights, answer_len_weights, depth_cap, tool_low, accuracies,
+        quota, n_queries, listed_pins, outside_pins,
+    ):
+        toolfree, toolreq, agentic, judge = accuracies
+        config = SyntheticConfig(
+            seed=seed,
+            p_tool_required=p_tool_required,
+            depth_weights=depth_weights,
+            answer_len_weights=answer_len_weights,
+            depth_cap=depth_cap,
+            tool_cost=synthetic.Uniform(tool_low, tool_low + 0.5),
+            draft_accuracy_toolfree=toolfree,
+            draft_accuracy_toolreq=toolreq,
+            agentic_accuracy=agentic,
+            judge_accuracy=judge,
+        )
+        if quota is None:
+            workload = make_workload(config, n_queries)
+        else:
+            workload = make_quota_workload(config, n_queries, *quota)
+        listed = workload + [_pinned(f"extra{i}", pins) for i, pins in enumerate(listed_pins)]
+        # same ids as listed queries, other fields: answered as the queries they are
+        outside = [Query(id=q.id) for q in workload[:3]]
+        outside += [_pinned(f"other{i}", pins) for i, pins in enumerate(outside_pins)]
+        preseeded, plain = SyntheticBackend(config, listed), SyntheticBackend(config)
+        for query in listed + outside:
+            assert preseeded.judge(query) == plain.judge(query)
+            ours, theirs = preseeded.speculate(query), plain.speculate(query)
+            assert (ours.answer, ours.latency_s) == (theirs.answer, theirs.latency_s)
+            assert ours.token_logits.values.tobytes() == theirs.token_logits.values.tobytes()
+            assert np.array_equal(ours.token_logits.lengths, theirs.token_logits.lengths)
+            expected = plain.agentic_run(query)
+            tool_costs, correct, truncated = _agentic_oracle(config, query)
+            assert [tool for _, tool in expected.step_costs[:-1]] == tool_costs
+            assert expected.truncated == truncated
+            assert (expected.answer == plain._ground_truth(query)) == correct
+            assert preseeded.agentic_run(query) == expected
+            assert preseeded.agentic_run(query) == expected  # its batch result was used up

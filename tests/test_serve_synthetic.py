@@ -398,7 +398,7 @@ def test_signed_zero_logprobs_keep_their_text():
 def test_command_closes_every_connection_it_opened(served, tmp_path, monkeypatch, command):
     built = []  # keeps each backend alive, so no connection is closed by freeing it
     build = cli._build_backend
-    monkeypatch.setattr(cli, "_build_backend", lambda config: built.append(build(config)) or built[-1])
+    monkeypatch.setattr(cli, "_build_backend", lambda config, queries=(): built.append(build(config, queries)) or built[-1])
     argv = [*command, "--out", str(tmp_path / "out"), "--endpoint", served.url, "--set", "workload.n_queries=20"]
     assert main(argv) == 0
     assert len(built) == 1
