@@ -3,7 +3,7 @@
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -19,7 +19,7 @@ __all__ = [
     "AgenticOutput",
     "Backend",
     "substream",
-    "substreams",
+    "lanes",
     "integral",
     "real",
     "reals",
@@ -268,15 +268,59 @@ def seeded(state: np.ndarray) -> np.random.Generator:
 
 _BATCH_MIN = 32  # below this many paths the vectorized pass's fixed cost (~175 us) outweighs its saving
 
+# PCG64's 128-bit LCG multiplier, as its high and low 64-bit words
+_MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-def substreams(seed: int, key_paths) -> Iterator[np.random.Generator]:
-    """substream(seed, *keys) for each key path in order, state for state.
 
-    A list of at least _BATCH_MIN paths is seeded by seed_states when this
-    is called, a shorter one path by path; each Generator is built as it is
-    taken.
-    """
-    paths = list(key_paths)
-    if len(paths) < _BATCH_MIN:
-        return (substream(seed, *keys) for keys in paths)
-    return map(seeded, seed_states(seed, paths))
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _MASK32) >> 32)
+
+
+class Lanes:
+    """PCG64 streams, one lane per seed_states row, seeded and stepped (128-bit
+    LCG, XSL-RR output) in uint64 arrays: next64() and random() return every
+    lane's next raw word or double, bit for bit what seeded(row) draws."""
+
+    def __init__(self, states: np.ndarray):
+        seed_hi, seed_lo, seq_hi, seq_lo = states.T
+        # pcg64_set_seed: increment 2 * seq + 1, then a step from state 0, the seed added, a step
+        self.inc_hi, self.inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        self.lo = self.inc_lo + seed_lo
+        self.hi = self.inc_hi + seed_hi + (self.lo < seed_lo)
+        self._next()  # the seeding's last step; its output is no draw
+
+    def _next(self) -> np.ndarray:
+        lo = self.lo * _MULT_LO + self.inc_lo
+        self.hi = self.hi * _MULT_LO + self.lo * _MULT_HI + _mulhi(self.lo, _MULT_LO) + self.inc_hi + (lo < self.inc_lo)
+        self.lo = lo
+        word, rotation = self.hi ^ self.lo, self.hi >> 58
+        return word >> rotation | word << (64 - rotation & 63)
+
+    def next64(self) -> list[int]:
+        return self._next().tolist()
+
+    def random(self) -> list[float]:
+        return ((self._next() >> 11) * 2.0**-53).tolist()
+
+
+class _Streams(list):
+    """Lanes' short-list form: a list of substreams, drawn from in turn."""
+
+    def next64(self) -> list[int]:
+        return [rng.bit_generator.random_raw() for rng in self]
+
+    def random(self) -> list[float]:
+        return [rng.random() for rng in self]
+
+
+def lanes(seed: int, key_paths: list) -> Lanes | _Streams:
+    """The streams substream(seed, *keys) gives for the key paths, in order,
+    drawn from together: random() and next64() return the next double or
+    raw word of every stream. At least _BATCH_MIN paths are seeded by
+    seed_states and stepped as Lanes, fewer as one substream each."""
+    if len(key_paths) < _BATCH_MIN:
+        return _Streams(substream(seed, *keys) for keys in key_paths)
+    return Lanes(seed_states(seed, key_paths))

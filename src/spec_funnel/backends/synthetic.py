@@ -5,11 +5,12 @@ answerer, stateful tool loop) with per-query RNG streams keyed on
 (seed, query id, phase, step). Outputs are bitwise reproducible and
 independent of batch composition or scheduling order; the tool loop is
 genuinely stateful because each step's stream is keyed on the previous
-step's observation.
+step's observation. Streams drawn for many queries at once (the workload,
+a given batch's judge draws and each tool-loop step) are stepped together
+as base.lanes; the draft stream stays a Generator for its normal draws.
 """
 
 import functools
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 from ..bounds import COUNT, UNIT, Range, check, check_bounds
 from ..errors import ValidationError
 from ..gate import AnswerLogits, TokenLogits
-from .base import AgenticOutput, JudgeOutput, Query, SpeculativeAnswer, seed_states, seeded, substream, substreams
+from .base import AgenticOutput, JudgeOutput, Lanes, Query, SpeculativeAnswer, lanes, seed_states, seeded, substream
 
 __all__ = [
     "Uniform",
@@ -57,9 +58,6 @@ class Uniform:
         check_bounds(self)
         if self.high < self.low:
             raise ValidationError("uniform bounds must satisfy low <= high")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
 
 
 def _default_depth_weights() -> dict[int, float]:
@@ -123,14 +121,14 @@ def _weight_cdf(table: tuple[tuple[int, float], ...]) -> tuple[list[int], list[f
     return list(values), cdf.tolist()
 
 
-def sample_weighted(rng: np.random.Generator, weights: Mapping[int, float]) -> int:
-    """Draw one key from an integer-keyed weight table.
+def sample_weighted(u: float, weights: Mapping[int, float]) -> int:
+    """The key of an integer-keyed weight table that uniform double u draws.
 
-    Draws exactly what rng.choice(sorted keys, p=normalized weights) draws:
-    one uniform double, located in the cumulative distribution.
+    Exactly what rng.choice(sorted keys, p=normalized weights) draws when
+    its one uniform double is u: u located in the cumulative distribution.
     """
     values, cdf = _weight_cdf(tuple(weights.items()))
-    return int(values[bisect_right(cdf, rng.random())])
+    return int(values[bisect_right(cdf, u)])
 
 
 @functools.cache
@@ -201,9 +199,9 @@ class SyntheticBackend:
     """Backend with scripted accuracy/latency statistics and seeded streams.
 
     Given the queries a command will ask about, it seeds their judge and
-    speculate streams in one pass and runs their tool loops together, one
-    array row per query; any other query's loop runs as a batch of one. A
-    route returns the same for a query either way.
+    speculate streams in one pass, takes every judge draw as one set of
+    lanes, and runs their tool loops together; any other query's loop runs
+    as a batch of one. A route returns the same for a query either way.
     """
 
     def __init__(self, config: SyntheticConfig, queries=()):
@@ -212,12 +210,8 @@ class SyntheticBackend:
         self._rows = {query: row for row, query in enumerate(queries)}
         if queries:  # else skip the vectorized passes' fixed cost: no route reads these
             states = seed_states(config.seed, ((q.id, phase) for q in queries for phase in ("judge", "speculate")))
-            self._states = {"judge": states[0::2], "speculate": states[1::2]}
+            self._judge_draws, self._speculate_states = Lanes(states[0::2]).random(), states[1::2]
             self._loops = self._run_loops(queries)
-
-    def _stream(self, query: Query, phase: str) -> np.random.Generator:
-        row = self._rows.get(query)
-        return substream(self.config.seed, query.id, phase) if row is None else seeded(self._states[phase][row])
 
     def _latents(self, query: Query) -> tuple[bool, int]:
         # A fully pinned query needs no stream. Otherwise both latents are
@@ -227,7 +221,7 @@ class SyntheticBackend:
             return query.true_requires_tools, query.true_depth
         rng = substream(self.config.seed, query.id, "latent")
         requires = bool(rng.random() < self.config.p_tool_required)
-        depth = sample_weighted(rng, self.config.depth_weights)
+        depth = sample_weighted(rng.random(), self.config.depth_weights)
         if query.true_requires_tools is not None:
             requires = query.true_requires_tools
         if query.true_depth is not None:
@@ -244,17 +238,19 @@ class SyntheticBackend:
         if query.true_draft_correct is not None:
             flipped = False  # pinned query: screening is exact
         else:
-            rng = self._stream(query, "judge")
-            flipped = bool(rng.random() >= self.config.judge_accuracy)
+            row = self._rows.get(query)
+            draw = substream(self.config.seed, query.id, "judge").random() if row is None else self._judge_draws[row]
+            flipped = draw >= self.config.judge_accuracy
         return JudgeOutput(g=int(requires != flipped), latency_s=self.config.judge_cost_s)
 
     def speculate(self, query: Query) -> SpeculativeAnswer:
         cfg = self.config
         requires, _ = self._latents(query)
-        rng = self._stream(query, "speculate")
+        row = self._rows.get(query)
+        rng = substream(cfg.seed, query.id, "speculate") if row is None else seeded(self._speculate_states[row])
         accuracy = cfg.draft_accuracy_toolreq if requires else cfg.draft_accuracy_toolfree
         correct = bool(rng.random() < accuracy)
-        n_tokens = sample_weighted(rng, cfg.answer_len_weights)
+        n_tokens = sample_weighted(rng.random(), cfg.answer_len_weights)
         if query.true_draft_correct is not None:
             # pinned query: margins sit exactly at the class mean so the
             # gate verdict is certain
@@ -270,45 +266,42 @@ class SyntheticBackend:
         answer = truth if correct else wrong_answer(truth)
         return SpeculativeAnswer(answer=answer, token_logits=token_logits, latency_s=cfg.speculate_cost_s)
 
-    def _run_loops(self, queries: list[Query]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _run_loops(self, queries: list[Query]) -> list[tuple[list[float], bool, bool]]:
         """The queries' tool loops, run together one step index at a time:
         step d's streams of all loops still running, each keyed on its
-        loop's observation from step d - 1, are seeded in one substreams
-        pass, and a loop of depth d draws its answer from step d's stream.
-        Returns every tool cost, flat in query order; each query's offset
-        into them, then the total; and each query's (correct, truncated)."""
+        loop's observation from step d - 1, are drawn from as one set of
+        lanes, and a loop of depth d draws its answer from step d's stream.
+        Returns each query's (tool costs, correct, truncated)."""
         cfg = self.config
+        low, high = float(cfg.tool_cost.low), float(cfg.tool_cost.high)  # Generator.uniform: low + (high - low) * u
         true_depths = [self._latents(query)[1] for query in queries]
         depths = [min(depth, cfg.depth_cap) for depth in true_depths]
-        offsets = np.array([0, *itertools.accumulate(depths)])
-        tool_costs = np.empty(offsets[-1])
-        flags = np.zeros((len(queries), 2), dtype=bool)
-        flags[:, 1] = [depth > cfg.depth_cap for depth in true_depths]
+        tool_costs = [[] for _ in queries]
+        correct = [False] * len(queries)
         observations = [f"s0:{query.id}" for query in queries]
         running = range(len(queries))
         step = 0
         while running:
-            keys = [(queries[i].id, "agentic", step, observations[i]) for i in running]
-            for i, rng in zip(running, substreams(cfg.seed, keys)):
+            streams = lanes(cfg.seed, [(queries[i].id, "agentic", step, observations[i]) for i in running])
+            looping = []
+            # a tool step's observation, rng.bytes(8) after one uniform, is its next raw word, little-endian
+            for i, u, word in zip(running, streams.random(), streams.next64()):
                 if step < depths[i]:
-                    tool_costs[offsets[i] + step] = cfg.tool_cost.sample(rng)
-                    # rng.bytes(8).hex() without numpy's uint32 path: after one
-                    # uniform no 32-bit half is buffered, so the bits are the same
-                    observations[i] = rng.bit_generator.random_raw().to_bytes(8, "little").hex()
+                    tool_costs[i].append(low + (high - low) * u)
+                    observations[i] = word.to_bytes(8, "little").hex()
+                    looping.append(i)
                 else:
-                    flags[i, 0] = rng.random() < cfg.agentic_accuracy
-            running = [i for i in running if depths[i] > step]
+                    correct[i] = u < cfg.agentic_accuracy
+            running = looping
             step += 1
-        return tool_costs, offsets, flags
+        return list(zip(tool_costs, correct, [depth > cfg.depth_cap for depth in true_depths]))
 
     def agentic_run(self, query: Query) -> AgenticOutput:
         cfg = self.config
         row = self._rows.get(query)
-        tool_costs, offsets, flags = self._loops if row is not None else self._run_loops([query])
-        row = row or 0  # a batch of one's only row
-        steps = [(cfg.llm_step_cost_s, tool_s) for tool_s in tool_costs[offsets[row] : offsets[row + 1]].tolist()]
+        tool_costs, correct, truncated = self._run_loops([query])[0] if row is None else self._loops[row]
+        steps = [(cfg.llm_step_cost_s, tool_s) for tool_s in tool_costs]
         steps.append((cfg.llm_step_cost_s, 0.0))  # answer emission, no tool
-        correct, truncated = flags[row].tolist()
         truth = self._ground_truth(query)
         return AgenticOutput(truth if correct else wrong_answer(truth), steps, truncated=truncated)
 
@@ -324,37 +317,36 @@ def _workload(config: SyntheticConfig, pins) -> list[Query]:
     draft_correct) pin. Query i's "workload" stream draws the Bernoulli tool
     flag, then the depth, and its "truth" stream the ground truth; a quota
     workload pins the flag with requires_tools in place of the drawn one,
-    and the draft with draft_correct. The 2n streams are seeded in one
-    batch."""
+    and the draft with draft_correct. Each kind of stream is drawn from as
+    one set of lanes."""
     qids = [f"q{i:06d}" for i in range(len(pins))]
-    streams = substreams(config.seed, ((qid, part) for qid in qids for part in ("workload", "truth")))
-    queries = []
-    for i, (qid, (requires_tools, draft_correct)) in enumerate(zip(qids, pins)):
-        rng = next(streams)
-        requires = bool(rng.random() < config.p_tool_required)
-        depth = sample_weighted(rng, config.depth_weights)
-        queries.append(
-            Query(
-                id=qid,
-                image_ref=f"synthetic://{qid}",
-                question=f"synthetic question {i}",
-                ground_truth=_truth(next(streams)),
-                true_requires_tools=requires if requires_tools is None else requires_tools,
-                true_depth=depth,
-                true_draft_correct=draft_correct,
-            )
+    workload = lanes(config.seed, [(qid, "workload") for qid in qids])
+    flags, depths = workload.random(), workload.random()
+    truths = lanes(config.seed, [(qid, "truth") for qid in qids]).next64()
+    return [
+        Query(
+            id=qids[i],
+            image_ref=f"synthetic://{qids[i]}",
+            question=f"synthetic question {i}",
+            ground_truth=_truth(truth),
+            true_requires_tools=flag < config.p_tool_required if requires_tools is None else requires_tools,
+            true_depth=sample_weighted(depth, config.depth_weights),
+            true_draft_correct=draft_correct,
         )
-    return queries
+        for i, (requires_tools, draft_correct), flag, depth, truth in zip(range(len(pins)), pins, flags, depths, truths)
+    ]
 
 
 def _derive_truth(seed: int, query_id: str) -> str:
     # same stream the backend falls back to, so a synthetic server with a
     # matching seed agrees with a locally generated workload
-    return _truth(substream(seed, query_id, "truth"))
+    return _truth(substream(seed, query_id, "truth").bit_generator.random_raw())
 
 
-def _truth(rng: np.random.Generator) -> str:
-    return CHOICES[int(rng.integers(len(CHOICES)))]
+def _truth(raw: int) -> str:
+    """The choice integers(len(CHOICES)) draws from raw word `raw`: Lemire's
+    method on its low 32 bits, which for a power of two never rejects."""
+    return CHOICES[(raw & 0xFFFFFFFF) * len(CHOICES) >> 32]
 
 
 def make_quota_workload(

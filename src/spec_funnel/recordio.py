@@ -13,7 +13,7 @@ import functools
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -179,6 +179,10 @@ def from_plain(kind, data, path: str = "", **fixed):
         unknown = [k for k in data if k not in hints or k in fixed]
         if unknown:
             raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}", field=path or "<root>")
+        required = (f.name for f in fields(kind) if f.init and f.default is MISSING and f.default_factory is MISSING)
+        missing = [name for name in required if name not in data and name not in fixed]
+        if missing:
+            raise ConfigError(f"missing key(s): {', '.join(missing)}", field=path or "<root>")
         values = {k: from_plain(hints[k], v, f"{path}.{k}" if path else k) for k, v in data.items()}
         try:
             return kind(**fixed, **values)

@@ -84,6 +84,23 @@ class TestConfig:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "content, args, message",
+        [
+            ({}, ["--set", "synthetic.tool_cost.high=1.2"], "synthetic.tool_cost: missing key(s): low"),
+            ({}, ["--set", "workload.quota.beta=0.6"], "workload.quota: missing key(s): alpha"),
+            ({"synthetic": {"tool_cost": {"low": 0.1}}}, [], "synthetic.tool_cost: missing key(s): high"),
+            ({"synthetic": {"tool_cost": {}}}, [], "synthetic.tool_cost: missing key(s): low, high"),
+        ],
+        ids=["set_high", "set_beta", "file_low", "file_empty"],
+    )
+    def test_partial_nested_value_names_its_missing_fields(self, tmp_path, capsys, content, args, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *args]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_override_parses_json_then_string(self):
         raw = {"workload": {"quota": None}}  # a path descends into a missing or null key
         apply_override(raw, "gate.tau=0.5")

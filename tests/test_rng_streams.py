@@ -4,9 +4,9 @@ The literals below are first draws recorded from the original constructions
 (substream via default_rng of the digest as an integer, sample_weighted via
 Generator.choice, latents always drawn from the "latent" stream). Any change
 to these functions must reproduce them exactly, since every synthetic output
-byte derives from them. The batch form, substreams, and the workload builders
-that seed through it are held to substream and to the per-query workload
-loop state for state.
+byte derives from them. The batch form, lanes, and the workload builders
+and backend that draw through it are held to substream, to seeded and to
+the per-query workload loop state for state and draw for draw.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
 from spec_funnel.backends import base, synthetic
-from spec_funnel.backends.base import Query, substream, substreams
+from spec_funnel.backends.base import Query, lanes, substream
 from spec_funnel.backends.synthetic import (
     CHOICES,
     SyntheticBackend,
@@ -31,6 +31,8 @@ from spec_funnel.backends.synthetic import (
     sample_weighted,
 )
 from spec_funnel.errors import ValidationError
+from spec_funnel.funnel import ScheduleConfig, serve_batch
+from spec_funnel.gate import GateConfig
 
 
 class TestSubstreamBits:
@@ -101,7 +103,7 @@ class TestSampleWeightedBits:
         seen = set()
         for seed in range(10_000):
             ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-            drawn = sample_weighted(ours, weights)
+            drawn = sample_weighted(ours.random(), weights)
             assert drawn == _choice_oracle(oracle, weights)
             assert ours.random() == oracle.random()  # same stream position afterwards
             seen.add(drawn)
@@ -110,7 +112,7 @@ class TestSampleWeightedBits:
     @pytest.mark.parametrize("weights", [{1: -1.0, 2: 2.0}, {1: 0.0, 2: 0.0}])
     def test_invalid_table_rejected(self, weights):
         with pytest.raises(ValidationError):
-            sample_weighted(np.random.default_rng(0), weights)
+            sample_weighted(0.5, weights)
 
 
 class TestLatents:
@@ -185,42 +187,107 @@ def _key_paths(count, rng):
     return paths
 
 
+def _lane_states(streams):
+    """Each stream's PCG64 (state, increment), as bit_generator.state gives them."""
+    if isinstance(streams, base.Lanes):
+        words = zip(streams.hi.tolist(), streams.lo.tolist(), streams.inc_hi.tolist(), streams.inc_lo.tolist())
+        return [(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo in words]
+    states = [rng.bit_generator.state["state"] for rng in streams]
+    return [(state["state"], state["inc"]) for state in states]
+
+
+def _substream_states(seed, paths):
+    return _lane_states(base._Streams([substream(seed, *keys) for keys in paths]))
+
+
 class TestSubstreamBatch:
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**40, 2**70])
     def test_matches_substream_state_for_state(self, seed):
         paths = _key_paths(2000, np.random.default_rng(abs(seed) % 2**32))
-        streams = substreams(seed, paths)
-        for keys in paths:
-            assert next(streams).bit_generator.state == substream(seed, *keys).bit_generator.state
-        assert next(streams, None) is None
+        streams = lanes(seed, paths)
+        assert isinstance(streams, base.Lanes)
+        assert _lane_states(streams) == _substream_states(seed, paths)
 
     @pytest.mark.parametrize("offset", [-31, -1, 0, 1, 33])
     def test_either_side_of_the_short_list_cutoff(self, offset):
         # a list shorter than _BATCH_MIN is seeded path by path, a longer one
-        # in one vectorized pass; seed_states mixes any number in one pass
+        # in one vectorized pass; Lanes steps any number of seed states
         count = base._BATCH_MIN + offset
         paths = _key_paths(count, np.random.default_rng(count))
-        streams = list(substreams(5, paths))
+        streams = lanes(5, paths)
+        assert isinstance(streams, base.Lanes) == (offset >= 0)
         states = base.seed_states(5, paths)
-        assert len(streams) == len(states) == count
-        for keys, rng, state in zip(paths, streams, states):
-            expected = substream(5, *keys).bit_generator.state
-            assert rng.bit_generator.state == expected
-            assert base.seeded(state).bit_generator.state == expected
+        assert len(states) == count
+        expected = _substream_states(5, paths)
+        assert _lane_states(streams) == _lane_states(base.Lanes(states)) == expected
+        assert [base.seeded(state).bit_generator.state["state"]["state"] for state in states] == [
+            state for state, _ in expected
+        ]
 
     def test_empty_batch(self):
-        assert list(substreams(0, [])) == []
+        assert lanes(0, []).random() == lanes(0, []).next64() == []
         assert base.seed_states(0, []).shape == (0, 4)
+        assert base.Lanes(base.seed_states(0, [])).random() == []
 
     def test_batch_of_one(self):
-        (rng,) = substreams(7, [("q000123", "speculate")])
-        assert rng.bit_generator.state == substream(7, "q000123", "speculate").bit_generator.state
-        assert rng.random() == 0.10952422060681888  # TestSubstreamBits' recorded first draw
+        # TestSubstreamBits' recorded first draw, on every path to the stream
+        assert lanes(7, [("q000123", "speculate")]).random() == [0.10952422060681888]
         (state,) = base.seed_states(7, [("q000123", "speculate")])
+        assert base.Lanes(state[None]).random() == [0.10952422060681888]
         seeded = base.seeded(state)
         assert seeded.random() == 0.10952422060681888
         with pytest.raises(ValueError):  # the seed holds PCG64's four words, nothing else
             seeded.bit_generator.seed_seq.generate_state(8)
+
+
+# words of 0 and 2**64 - 1 make every add and product carry, or none
+_words = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+def _integers4(rng):
+    """rng.integers(4) from a copy of rng, leaving rng where it is."""
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = rng.bit_generator.state
+    return int(copy.integers(4))
+
+
+class TestLanes:
+    """Lanes, stepped in uint64 arrays, draw what a Generator on the same
+    seed state draws, call for call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_words, _words, _words, _words), min_size=1, max_size=2 * base._BATCH_MIN + 2),
+        calls=st.lists(st.booleans(), min_size=1, max_size=8),
+    )
+    def test_match_seeded_generators(self, rows, calls):
+        states = np.array(rows, dtype=np.uint64)
+        streams, oracles = base.Lanes(states), [base.seeded(row) for row in states]
+        assert _lane_states(streams) == _lane_states(base._Streams(oracles))
+        for raw in calls:
+            if raw:
+                truths = [CHOICES[_integers4(rng)] for rng in oracles]
+                words = streams.next64()
+                assert words == [rng.bit_generator.random_raw() for rng in oracles]
+                assert [synthetic._truth(word) for word in words] == truths
+            else:
+                assert streams.random() == [rng.random() for rng in oracles]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        count=st.integers(0, 2 * base._BATCH_MIN),
+        paths_seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(st.booleans(), min_size=1, max_size=5),
+    )
+    def test_lanes_match_substreams_either_side_of_the_cutoff(self, seed, count, paths_seed, calls):
+        paths = _key_paths(count, np.random.default_rng(paths_seed))
+        streams, oracles = lanes(seed, paths), [substream(seed, *keys) for keys in paths]
+        for raw in calls:
+            if raw:
+                assert streams.next64() == [rng.bit_generator.random_raw() for rng in oracles]
+            else:
+                assert streams.random() == [rng.random() for rng in oracles]
 
 
 def _workload_oracle(config, n_queries, pin=lambda i: (None, None)):
@@ -232,7 +299,7 @@ def _workload_oracle(config, n_queries, pin=lambda i: (None, None)):
         qid = f"q{i:06d}"
         rng = substream(config.seed, qid, "workload")
         requires = bool(rng.random() < config.p_tool_required)
-        depth = sample_weighted(rng, config.depth_weights)
+        depth = sample_weighted(rng.random(), config.depth_weights)
         truth = CHOICES[int(substream(config.seed, qid, "truth").integers(len(CHOICES)))]
         queries.append(
             Query(
@@ -274,7 +341,7 @@ def _agentic_oracle(config, query):
     tool_costs = []
     for step in range(min(true_depth, config.depth_cap)):
         rng = agentic_step_stream(config.seed, query.id, step, observation)
-        tool_costs.append(config.tool_cost.sample(rng))
+        tool_costs.append(rng.uniform(config.tool_cost.low, config.tool_cost.high))
         observation = rng.bytes(8).hex()
     final = agentic_step_stream(config.seed, query.id, len(tool_costs), observation)
     return tool_costs, bool(final.random() < config.agentic_accuracy), true_depth > config.depth_cap
@@ -347,3 +414,17 @@ class TestPreseededBackend:
             assert (expected.answer == plain._ground_truth(query)) == correct
             assert preseeded.agentic_run(query) == expected
             assert preseeded.agentic_run(query) == expected  # its batch result was used up
+
+
+class TestPreseededServing:
+    @pytest.mark.parametrize("seed", [0, 101])
+    def test_a_batch_above_the_cutoff_serves_as_on_a_plain_backend(self, seed):
+        # 300 queries put every judge draw and the first step indices of the
+        # tool loops on Lanes, and the deep steps' few loops on substreams
+        config = SyntheticConfig(seed=seed)
+        queries = make_workload(config, 300)
+        assert len(queries) > base._BATCH_MIN
+        gate_config, schedule = GateConfig(), ScheduleConfig()
+        preseeded = serve_batch(queries, gate_config, schedule, SyntheticBackend(config, queries))
+        plain = serve_batch(queries, gate_config, schedule, SyntheticBackend(config))
+        assert preseeded == plain
