@@ -31,9 +31,7 @@ __all__ = [
     "make_workload",
     "make_quota_workload",
     "margin_vector",
-    "separability_floor",
     "validate_quota_gate",
-    "agentic_step_stream",
     "sample_weighted",
     "wrong_answer",
     "CHOICES",
@@ -170,22 +168,6 @@ def _top(margin: float, width: int) -> float:
     m = min(max(float(margin), 0.0), 0.995 * math.sqrt(n - 1))
     y = m * math.sqrt(c / (1.0 - (m * m) / (n - 1)))
     return max((y + s) / (n - 1), float(tail[0]))
-
-
-def separability_floor(width: int) -> float:
-    """Smallest margin the generator can realize at this width."""
-    tail, s, c = _tail_stats(width - 1)
-    y = (width - 1) * float(tail[0]) - s
-    return y / math.sqrt(y * y / (width - 1) + c)
-
-
-def agentic_step_stream(seed: int, query_id: str, step: int, previous_observation: str):
-    """RNG for one tool-loop step, as SyntheticBackend seeds it.
-
-    Keyed on the previous step's observation, which is what makes the loop
-    stateful: perturbing step d's observation changes every draw of step d+1.
-    """
-    return substream(seed, query_id, "agentic", step, previous_observation)
 
 
 def wrong_answer(truth: str) -> str:

@@ -32,7 +32,6 @@ __all__ = [
     "collect_score_sets",
     "kde",
     "class_densities",
-    "peak_distance",
     "analytic_speedup",
     "sweep_threshold",
     "choose_threshold",
@@ -246,15 +245,6 @@ def class_densities(correct_scores, incorrect_scores, bandwidth: float | None = 
     return correct, incorrect, distance
 
 
-def peak_distance(correct_scores, incorrect_scores, bandwidth: float | None = None) -> float:
-    """Distance between the density modes of correct and incorrect scores;
-    a DegenerateDistribution when either class has no density."""
-    *_, distance = class_densities(correct_scores, incorrect_scores, bandwidth)
-    if distance is None:
-        raise DegenerateDistribution("each class needs at least 2 scores with nonzero spread")
-    return distance
-
-
 def default_tau_grid(scores, n_taus: int = 33) -> list[float]:
     """Evenly spaced thresholds over the empirical score range."""
     x = np.asarray(list(scores), dtype=np.float64)
@@ -350,13 +340,16 @@ class UnionBoundReport:
 
 
 def union_bound_report(token_scores, correct, n_bins: int = 10) -> UnionBoundReport:
-    """Build the separability/error report from per-answer token scores."""
+    """Build the separability/error report from per-answer token scores;
+    a DegenerateDistribution when no answer has one."""
     token_scores = [tuple(ts) for ts in token_scores]
     correct = [bool(c) for c in correct]
     if len(token_scores) != len(correct) or not token_scores:
         raise ValidationError("need matching, non-empty token scores and labels")
     check(COUNT, n_bins=n_bins)
     flat = np.array([s for ts in token_scores for s in ts])
+    if not flat.size:
+        raise DegenerateDistribution("no answer has a token score to bin")
     labels = np.array([not ok for ts, ok in zip(token_scores, correct) for _ in ts], dtype=bool)
     lo, hi = float(flat.min()), float(flat.max())
     if hi <= lo:

@@ -16,7 +16,6 @@ and runs the agentic loop again only for the accepted ones.
 """
 
 import heapq
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ __all__ = [
     "FunnelStats",
     "serve_batch",
     "speedup_model",
-    "throughput_bound",
 ]
 
 
@@ -81,7 +79,7 @@ class FunnelStats:
     def __post_init__(self):
         check(COUNT, batch_size=self.batch_size)
         counts = ("n_toolfree", "n_toolreq", "n_accepted", "n_rejected", "n_residual")
-        makespans = ("frontend_makespan_s", "fallback_makespan_s", "batch_makespan_s")
+        makespans = ("frontend_makespan_s", "fallback_makespan_s", "batch_makespan_s", "baseline_makespan_s")
         check(Range(0), **{name: getattr(self, name) for name in counts + makespans})
         if self.n_toolfree + self.n_toolreq != self.batch_size:
             raise ValidationError("screen counts must partition the batch")
@@ -101,6 +99,10 @@ class FunnelStats:
         if self.baseline_makespan_s is not None and self.batch_makespan_s > 0.0:
             if self.speedup != self.baseline_makespan_s / self.batch_makespan_s:
                 raise ValidationError("speedup must equal baseline / batch makespan")
+        if self.batch_makespan_s != self.frontend_makespan_s + self.fallback_makespan_s:
+            raise ValidationError("batch makespan must equal frontend plus fallback makespan")
+        if self.baseline_makespan_s is None and self.speedup is not None:
+            raise ValidationError("speedup is undefined without a baseline makespan")
 
 
 def speedup_model(beta: float, alpha: float) -> float:
@@ -114,15 +116,6 @@ def speedup_model(beta: float, alpha: float) -> float:
     if bypassed >= 1.0:
         raise InfiniteSpeedup("every query is bypassed; the residual set is empty")
     return 1.0 / (1.0 - bypassed)
-
-
-def throughput_bound(latencies) -> float:
-    """Serial agentic throughput ceiling: batch size over total occupancy."""
-    values = list(latencies)
-    if not values:
-        raise ValidationError("need at least one latency")
-    check(Range(0, open=True), latencies=values)
-    return len(values) / math.fsum(values)
 
 
 def _list_schedule_makespan(durations, workers: int) -> float:

@@ -9,9 +9,9 @@ the draft answer or fall back to the slow path. A probability-based scorer
 baseline mode.
 
 An answer's logits travel packed as one AnswerLogits array, validated once,
-and gate() scores all of its tokens with row reductions. The one-token
-functions token_separability, max_softmax_prob and log_confidence compute
-the same numbers one token at a time and serve as the reference for it.
+and gate() scores all of its tokens with row reductions. The tests hold it
+to one-token reference forms, token_separability, max_softmax_prob and
+log_confidence, in tests/oracles.py.
 """
 
 import math
@@ -21,7 +21,7 @@ from typing import Annotated, Sequence
 
 import numpy as np
 
-from .bounds import COUNT, Range, check, check_bounds
+from .bounds import Range, check_bounds
 from .errors import EmptyAnswerError, ValidationError
 
 __all__ = [
@@ -31,12 +31,8 @@ __all__ = [
     "AnswerLogits",
     "GateConfig",
     "GateDecision",
-    "token_separability",
-    "max_softmax_prob",
-    "log_confidence",
     "aggregate",
     "normalize",
-    "logit",
     "gate",
 ]
 
@@ -70,12 +66,6 @@ class TokenLogits:
         if (values[1:] > values[:-1]).any():  # np.diff overflows between far-apart finite values
             raise ValidationError("token logits must be sorted in descending order")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_raw(cls, values) -> "TokenLogits":
-        """Build from logit values in any order (sorts descending)."""
-        arr = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-        return cls(arr.copy())
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -183,51 +173,6 @@ class GateDecision:
         return self.verdict is Verdict.ACCEPT
 
 
-def token_separability(logits: TokenLogits, k: int = 64, epsilon: float = 1e-6) -> float:
-    """Standardized margin of the leading logit over the top-k window.
-
-    Returns (top - mean) / (population std + epsilon), computed over the k
-    largest retained logits. The score is shift-invariant, scale-invariant
-    at epsilon=0, and never negative; an all-equal window scores exactly 0.
-    If fewer than k logits were retained, the window clamps to what is
-    available (gate() records a diagnostic for that condition).
-    """
-    check(COUNT, k=k)
-    check(Range(0), epsilon=epsilon)
-    window = logits.values[: min(k, len(logits))]
-    if window[0] == window[-1]:
-        # flat window (sorted, so ends equal means all equal): exact zero,
-        # independent of np.mean rounding an ulp below the common value
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        margin = float(window[0]) - float(window.mean())
-        if not 0.0 < margin < math.inf:  # also when the window's sum is past the float range
-            return 0.0
-        return margin / (float(window.std()) + epsilon)
-
-
-def max_softmax_prob(logits: TokenLogits) -> float:
-    """Softmax probability of the leading token over the retained slice.
-
-    The retained top logits are treated as the full support, which biases
-    the value upward relative to the vocabulary-wide probability; the shift
-    by the leading logit keeps the computation stable.
-    """
-    with np.errstate(over="ignore"):  # a gap past the float range is -inf, of weight 0
-        return float(1.0 / np.exp(logits.values - logits.values[0]).sum())
-
-
-def log_confidence(answer: Sequence[TokenLogits]) -> float:
-    """Geometric mean of per-token max-softmax probabilities."""
-    if len(answer) == 0:
-        raise EmptyAnswerError("cannot score an empty answer")
-    log_probs = []
-    with np.errstate(over="ignore"):  # as in max_softmax_prob
-        for logits in answer:
-            log_probs.append(-math.log(float(np.exp(logits.values - logits.values[0]).sum())))
-    return math.exp(math.fsum(log_probs) / len(answer))
-
-
 def aggregate(token_scores: Sequence[float], strategy: Scoring, bottom_ratio: float = 0.2) -> float:
     """Collapse per-token scores into one answer-level score.
 
@@ -277,12 +222,6 @@ def normalize(raw_score: float) -> float:
     return z / (1.0 + z)
 
 
-def logit(probability: float) -> float:
-    """Inverse of normalize() on (0, 1)."""
-    check(Range(0, 1, open=True), probability=probability)
-    return math.log(probability / (1.0 - probability))
-
-
 def gate(answer: AnswerLogits | Sequence[TokenLogits], config: GateConfig) -> GateDecision:
     """Score an answer and decide accept vs fallback at config.tau.
 
@@ -293,8 +232,8 @@ def gate(answer: AnswerLogits | Sequence[TokenLogits], config: GateConfig) -> Ga
     per-token max-softmax probabilities and the score is the geometric mean
     itself (already inside (0, 1]), with no extra sigmoid. A sequence of
     TokenLogits is packed first; every token is then scored by row
-    reductions, with the same floats token_separability, max_softmax_prob
-    and log_confidence give.
+    reductions, with the same floats the one-token token_separability,
+    max_softmax_prob and log_confidence of tests/oracles.py give.
     """
     if not isinstance(answer, AnswerLogits):
         answer = AnswerLogits.from_tokens(answer)
@@ -336,8 +275,8 @@ def _by_window(values: np.ndarray, windows: list[int], score_rows) -> list[float
 
 
 def _separabilities(rows: np.ndarray, epsilon: float) -> list[float]:
-    """token_separability of each row, which is its whole window: the row
-    sums np.mean and np.std take, then each row's margin in floats."""
+    """Separability of each row, which is its whole window: the row sums
+    np.mean and np.std take, then each row's margin in floats."""
     width = rows.shape[1]
     means = np.add.reduce(rows, axis=1, keepdims=True) / width
     square_sums = np.add.reduce(np.square(rows - means), axis=1)

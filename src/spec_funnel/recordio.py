@@ -36,7 +36,6 @@ __all__ = [
     "outcome_from_dict",
     "stats_to_dict",
     "stats_from_dict",
-    "outcome_lines",
     "SUMMARY_HEADER",
     "SCORES_HEADER",
     "OPERATING_POINTS_HEADER",
@@ -226,11 +225,6 @@ def outcome_from_dict(data: dict) -> QueryOutcome:
     if isinstance(data, dict):
         data = {("latency" if k == "latency_breakdown" else k): v for k, v in data.items()}
     return from_plain(QueryOutcome, data)
-
-
-def outcome_lines(outcomes) -> bytes:
-    """Byte-stable JSONL rendering of an outcome list."""
-    return "".join(canonical_json(outcome_to_dict(o)) + "\n" for o in outcomes).encode()
 
 
 def stats_to_dict(stats: FunnelStats) -> dict:

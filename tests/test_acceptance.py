@@ -24,7 +24,6 @@ from spec_funnel.calibration import (
     collect_scores,
     default_tau_grid,
     kde,
-    peak_distance,
     sweep_threshold,
 )
 from spec_funnel.errors import DegenerateDistribution
@@ -35,13 +34,11 @@ from spec_funnel.gate import (
     TokenLogits,
     aggregate,
     gate,
-    log_confidence,
-    logit,
     normalize,
-    token_separability,
 )
 from spec_funnel.pipeline import QueryPath, answers_match, expected_latency, process_query
-from spec_funnel.recordio import outcome_lines
+
+from oracles import log_confidence, logit, outcome_lines, peak_distance, token_separability
 
 N_RANDOM = 10_000
 

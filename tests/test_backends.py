@@ -17,15 +17,15 @@ from spec_funnel.backends.synthetic import (
     SyntheticBackend,
     SyntheticConfig,
     Uniform,
-    agentic_step_stream,
     make_quota_workload,
     make_workload,
     margin_vector,
-    separability_floor,
     validate_quota_gate,
 )
 from spec_funnel.errors import ValidationError
-from spec_funnel.gate import GateConfig, gate, token_separability
+from spec_funnel.gate import GateConfig, gate
+
+from oracles import agentic_step_stream, separability_floor, token_separability
 
 
 class TestSubstream:

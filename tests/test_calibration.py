@@ -21,13 +21,14 @@ from spec_funnel.calibration import (
     collect_scores,
     default_tau_grid,
     kde,
-    peak_distance,
     sweep_threshold,
     union_bound_report,
 )
 from spec_funnel.errors import DegenerateDistribution, ValidationError
 from spec_funnel.gate import GateConfig, Scoring, normalize
 from spec_funnel.pipeline import QueryPath, process_query
+
+from oracles import peak_distance
 
 
 def brute_force_kde_argmax(scores, bandwidth, grid):
@@ -300,7 +301,7 @@ class TestChooseThreshold:
 
 class TestMinStrategyExactSet:
     def test_accepted_set_equals_brute_force_filter(self, synthetic_config):
-        from spec_funnel.gate import logit, token_separability
+        from oracles import logit, token_separability
 
         backend = SyntheticBackend(synthetic_config)
         queries = make_workload(synthetic_config, 200)
@@ -394,6 +395,10 @@ class TestUnionBoundReport:
             union_bound_report([], [])
         with pytest.raises(ValidationError):
             union_bound_report([(1.0,)], [True, False])
+
+    def test_answers_without_tokens_are_degenerate(self):
+        with pytest.raises(DegenerateDistribution, match="no answer has a token score"):
+            union_bound_report([(), ()], [True, False])
 
 
 def per_answer_union_bound(token_scores, correct, n_bins):

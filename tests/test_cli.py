@@ -4,7 +4,9 @@ reproducibility, exit codes, and pinned CSV headers."""
 import json
 import math
 import operator
+import runpy
 import shutil
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -176,6 +178,16 @@ class TestRunCommand:
         manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["seed"] == 3
         assert "outcomes.jsonl" in manifest["outputs"]
+
+    def test_module_run_as_a_script_exits_with_main_code(self, tmp_path, monkeypatch):
+        out = tmp_path / "script"
+        monkeypatch.setattr(sys, "argv", ["spec-funnel", "run", "--out", str(out), "--seed", "3", *SMALL])
+        monkeypatch.delitem(sys.modules, "spec_funnel.cli")  # runpy warns when it runs an imported module
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("spec_funnel.cli", run_name="__main__")
+        assert exit_.value.code == 0
+        assert main(["run", "--out", str(tmp_path / "main"), "--seed", "3", *SMALL]) == 0
+        assert (out / "outcomes.jsonl").read_bytes() == (tmp_path / "main" / "outcomes.jsonl").read_bytes()
 
     def test_seed_changes_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -686,6 +698,10 @@ BROKEN_STATS = {
     "throughput must equal batch_size / batch_makespan": lambda s: s.update(throughput_qps=s["throughput_qps"] * 2),
     "throughput is undefined for a zero makespan": lambda s: s.update(batch_makespan_s=0.0),
     "speedup must equal baseline / batch makespan": lambda s: s.update(speedup=s["speedup"] * 2),
+    "batch makespan must equal frontend plus fallback makespan": lambda s: s.update(
+        frontend_makespan_s=s["frontend_makespan_s"] + 1.0
+    ),
+    "speedup is undefined without a baseline makespan": lambda s: s.update(baseline_makespan_s=None),
     # counts and makespans out of range, checked before the identities above
     "batch_size must lie in [1, inf)": lambda s: s.update({k: 0 for k in s if k == "batch_size" or k.startswith("n_")}),
     "n_toolfree must lie in [0, inf)": lambda s: s.update(n_toolfree=-1, n_toolreq=s["n_toolreq"] + 1),
@@ -696,6 +712,7 @@ BROKEN_STATS = {
     "frontend_makespan_s must lie in [0, inf)": lambda s: s.update(frontend_makespan_s=-1.0),
     "fallback_makespan_s must lie in [0, inf)": lambda s: s.update(fallback_makespan_s=math.nan),
     "batch_makespan_s must lie in [0, inf)": lambda s: s.update(batch_makespan_s=-s["batch_makespan_s"]),
+    "baseline_makespan_s must lie in [0, inf)": lambda s: s.update(baseline_makespan_s=math.inf, speedup=math.inf),
 }
 
 # the QueryOutcome invariant each edit of the outcome records breaks

@@ -29,11 +29,12 @@ from spec_funnel.funnel import (
     _list_schedule_makespan,
     serve_batch,
     speedup_model,
-    throughput_bound,
 )
 from spec_funnel.gate import GateConfig
 from spec_funnel.pipeline import QueryPath, process_query
-from spec_funnel.recordio import outcome_lines, stats_from_dict
+from spec_funnel.recordio import stats_from_dict
+
+from oracles import outcome_lines, throughput_bound
 
 
 class TestSpeedupModel:

@@ -16,12 +16,10 @@ from spec_funnel.gate import (
     Verdict,
     aggregate,
     gate,
-    log_confidence,
-    logit,
-    max_softmax_prob,
     normalize,
-    token_separability,
 )
+
+from oracles import from_raw, log_confidence, logit, max_softmax_prob, token_separability
 
 
 def tl(*values):
@@ -44,11 +42,14 @@ class TestTokenLogits:
             tl(1.0, np.nan)
 
     def test_from_raw_sorts(self):
-        logits = TokenLogits.from_raw([0.5, 2.0, -1.0])
+        logits = from_raw([0.5, 2.0, -1.0])
         assert list(logits.values) == [2.0, 0.5, -1.0]
 
     def test_ties_allowed(self):
         assert len(tl(2.0, 2.0, 1.0)) == 3
+
+    def test_never_equals_a_value_that_is_not_logits(self):
+        assert tl(1.0, 0.0) != (1.0, 0.0) and tl(1.0) != 1.0 and tl(1.0) != "A"
 
 
 NEG = -np.inf
@@ -78,6 +79,7 @@ class TestAnswerLogits:
         assert answer == (tl(3.0, 1.0), tl(2.0, 2.0, 0.0))
         assert answer[1] == tl(2.0, 2.0, 0.0) and answer[-2] == tl(3.0, 1.0)
         assert answer != (tl(3.0, 1.0),) and answer != (tl(3.0, 1.0), tl(2.0, 2.0))
+        assert answer != "A" and answer != 3.0 and answer != {0: tl(3.0, 1.0)}
 
     @pytest.mark.parametrize("name", sorted(BROKEN_ANSWERS))
     def test_each_broken_invariant_raises(self, name):
@@ -116,7 +118,7 @@ class TestTokenSeparability:
     def test_non_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            logits = TokenLogits.from_raw(rng.normal(0, 3, size=8))
+            logits = from_raw(rng.normal(0, 3, size=8))
             assert token_separability(logits, k=8) >= 0.0
 
     def test_invalid_args(self):
@@ -147,14 +149,14 @@ class TestLogConfidence:
     def test_geometric_mean_of_two(self):
         # logits [0, log(1/9)] -> p_max 0.9; [0, log(0.75), log(0.75)] ->
         # p_max 1/2.5 = 0.4; geometric mean sqrt(0.36) = 0.6
-        a9 = TokenLogits.from_raw([0.0, math.log(1 / 9)])
-        b4 = TokenLogits.from_raw([0.0, math.log(0.75), math.log(0.75)])
+        a9 = from_raw([0.0, math.log(1 / 9)])
+        b4 = from_raw([0.0, math.log(0.75), math.log(0.75)])
         assert max_softmax_prob(a9) == pytest.approx(0.9, abs=1e-12)
         assert max_softmax_prob(b4) == pytest.approx(0.4, abs=1e-12)
         assert log_confidence([a9, b4]) == pytest.approx(0.6, abs=1e-12)
 
     def test_single_token_identity(self):
-        a = TokenLogits.from_raw([0.0, math.log(3.0 / 7.0)])  # p_max = 0.7
+        a = from_raw([0.0, math.log(3.0 / 7.0)])  # p_max = 0.7
         assert log_confidence([a]) == pytest.approx(0.7, abs=1e-12)
 
     def test_all_certain_tokens(self):
@@ -252,7 +254,7 @@ class TestGate:
         assert "top_k_clamped" in decision.diagnostics
 
     def test_log_conf_mode_scores_probability(self):
-        a9 = TokenLogits.from_raw([0.0, math.log(1 / 9)])
+        a9 = from_raw([0.0, math.log(1 / 9)])
         decision = gate([a9, a9], GateConfig(aggregation=Scoring.LOG_CONF, tau=0.85))
         assert decision.score == pytest.approx(0.9, abs=1e-12)
         assert decision.accepted

@@ -18,12 +18,10 @@ from spec_funnel.gate import (
     Verdict,
     aggregate,
     gate,
-    log_confidence,
-    logit,
-    max_softmax_prob,
     normalize,
-    token_separability,
 )
+
+from oracles import from_raw, log_confidence, logit, max_softmax_prob, token_separability
 
 finite_floats = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
 score_lists = st.lists(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=1, max_size=60)
@@ -31,7 +29,7 @@ ratios = st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
 
 
 def sorted_logits(values) -> TokenLogits:
-    return TokenLogits.from_raw(values)
+    return from_raw(values)
 
 
 def longdouble_separability(values, k, epsilon):

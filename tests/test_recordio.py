@@ -47,7 +47,8 @@ def test_stats_from_dict_coerces_counts_and_defaults_optionals(synthetic_config,
     data["batch_size"] = float(data["batch_size"])
     for optional in ("throughput_qps", "baseline_makespan_s", "speedup"):
         del data[optional]
-    restored = stats_from_dict({**data, "batch_makespan_s": 0.0})
+    zero_makespans = {"frontend_makespan_s": 0.0, "fallback_makespan_s": 0.0, "batch_makespan_s": 0.0}
+    restored = stats_from_dict({**data, **zero_makespans})
     assert type(restored.batch_size) is int and restored.batch_size == stats.batch_size
     assert restored.throughput_qps is restored.baseline_makespan_s is restored.speedup is None
 

@@ -27,8 +27,10 @@ from spec_funnel.backends.remote import (
 )
 from spec_funnel.cli import main
 from spec_funnel.errors import BackendUnavailable, ValidationError
-from spec_funnel.gate import AnswerLogits, GateConfig, TokenLogits
+from spec_funnel.gate import AnswerLogits, GateConfig
 from spec_funnel.pipeline import process_query
+
+from oracles import from_raw
 
 # a JSON integer no float can hold; float() of it raises OverflowError
 TOO_LARGE = pytest.param(int("9" * 401), id="int_too_large")
@@ -80,6 +82,8 @@ class StubHandler(BaseHTTPRequestHandler):
         elif self.path == "/speculate":
             if behavior == "no_logprobs":
                 body = {"answer": "A", "tokens": [{"text": "A", "top_logprobs": []}], "latency_s": 0.2}
+            elif behavior == "empty":
+                body = {"answer": "", "tokens": [], "latency_s": 0.1}
             else:
                 body = speculate_body(n_logprobs=min(64, request.get("top_logprobs", 5)))
         elif self.path == "/agentic":
@@ -410,6 +414,20 @@ class TestKeptAliveTransport:
         assert [qid for _, _, qid in keepalive_server.posts] == ["q1", "q2"]
         assert keepalive_server.connections == 2
 
+    @pytest.mark.parametrize("poll", [True, False], ids=["poll", "select"])
+    def test_idle_socket_is_readable_once_its_peer_sends_or_closes(self, monkeypatch, poll):
+        if not poll:
+            monkeypatch.delattr(remote.select, "poll", raising=False)  # as on Windows
+        ours, peer = socket.socketpair()
+        with ours, peer:
+            assert not remote._readable(ours)
+            peer.sendall(b"x")
+            assert remote._readable(ours)
+            ours.recv(1)
+            assert not remote._readable(ours)
+            peer.close()
+            assert remote._readable(ours)
+
     @pytest.mark.parametrize("fault", ["reset", "truncate", "bad_status"])
     def test_broken_response_is_unavailable_and_not_resent(self, keepalive_server, make_backend, fault):
         backend = make_backend(keepalive_server.url)
@@ -662,6 +680,14 @@ class TestExchangeLogAndReplay:
         assert capsys.readouterr().err.startswith(f"config error: unwritable exchange log {log}: ")
         assert list(out.iterdir()) == []  # no data file, and no manifest
 
+    def test_calibrate_on_only_empty_drafts_is_degenerate(self, stub_server, tmp_path, capsys):
+        StubHandler.behaviors = {"/speculate": "empty"}  # every question is tool-free to the stub judge
+        out = tmp_path / "cal"
+        args = ["calibrate", "--endpoint", stub_server, "--set", "workload.n_queries=40", "--out", str(out)]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith("degenerate statistics: no answer has a token score")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "entry, code, err",
         [
@@ -810,7 +836,7 @@ class TestParserEdgeCases:
             draft = parse_speculate_response(body, top_logprobs)
             for token, got in zip(body["tokens"], draft.token_logits):
                 finite = [e["logprob"] for e in token["top_logprobs"] if e["logprob"] > -math.inf]
-                want = TokenLogits.from_raw(sorted(finite, reverse=True)[:top_logprobs])
+                want = from_raw(sorted(finite, reverse=True)[:top_logprobs])
                 assert got == want
                 assert got.values.dtype == want.values.dtype
                 assert got.values.tobytes() == want.values.tobytes()

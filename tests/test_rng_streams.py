@@ -25,7 +25,6 @@ from spec_funnel.backends.synthetic import (
     CHOICES,
     SyntheticBackend,
     SyntheticConfig,
-    agentic_step_stream,
     make_quota_workload,
     make_workload,
     sample_weighted,
@@ -33,6 +32,8 @@ from spec_funnel.backends.synthetic import (
 from spec_funnel.errors import ValidationError
 from spec_funnel.funnel import ScheduleConfig, serve_batch
 from spec_funnel.gate import GateConfig
+
+from oracles import agentic_step_stream
 
 
 class TestSubstreamBits:
