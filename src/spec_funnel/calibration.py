@@ -17,8 +17,9 @@ from .backends.base import Backend, Query
 from .bounds import COUNT, FINITE, UNIT, Range, check
 from .errors import DegenerateDistribution, InfiniteSpeedup, ValidationError
 from .funnel import speedup_model
-from .gate import GateConfig, Scoring, gate
-from .pipeline import _draft, _judge, answers_match, expected_latency
+# gate stays importable here: perfbench/tracing.py wraps calibration.gate by name
+from .gate import GateConfig, Scoring, gate, gate_batch  # noqa: F401
+from .pipeline import _drafts, _judge, answers_match, expected_latency
 
 __all__ = [
     "ScoreSample",
@@ -129,8 +130,8 @@ def collect_score_sets(
 
     The calls are pipeline's Phase I and Phase II/III functions, so a failed
     call degrades as in `run`, and the counts and mean costs are read from
-    their results. Each draft is scored under every config as it arrives and
-    its logits are not kept. All queries must carry ground truth.
+    their results. Each block of drafts is scored under every config as it
+    arrives and its logits are not kept. All queries must carry ground truth.
     """
     gate_configs = tuple(gate_configs)
     if not queries:
@@ -144,10 +145,10 @@ def collect_score_sets(
     samples = [[] for _ in gate_configs]
     token_scores = [[] for _ in gate_configs]
     speculate_costs = []
-    for query in toolfree:
-        answer, decisions, cost = _draft(
-            backend.speculate, query, lambda logits: [gate(logits, c) for c in gate_configs]
-        )
+    drafts = _drafts(
+        backend.speculate, toolfree, lambda answers: list(zip(*(gate_batch(answers, c) for c in gate_configs)))
+    )
+    for query, (answer, decisions, cost) in zip(toolfree, drafts):
         if decisions is None:
             continue
         speculate_costs.append(cost)

@@ -43,8 +43,9 @@ from .errors import (
     ValidationError,
 )
 from .funnel import serve_batch
-from .gate import Scoring, gate
-from .pipeline import QueryPath, _draft, _fallback, answers_match, expected_latency
+# gate stays importable here: perfbench/tracing.py wraps cli.gate by name
+from .gate import Scoring, gate, gate_batch  # noqa: F401
+from .pipeline import QueryPath, _drafts, _fallback, answers_match, expected_latency
 from .recordio import (
     ABLATE_AGGREGATION_HEADER,
     ABLATE_BATCH_HEADER,
@@ -401,20 +402,19 @@ def cmd_report(run_dir: str) -> int:
 
 
 def cmd_replay(config: RunConfig, args) -> tuple[dict, str]:
-    def score(logits):
-        decision = gate(logits, config.gate)
-        return len(logits), decision.score, decision.verdict.value
+    def score(answers):
+        return [(len(a), d.score, d.verdict.value) for a, d in zip(answers, gate_batch(answers, config.gate))]
 
-    top_logprobs = config.backend.top_logprobs
-    drafts = {}  # by id: the last entry counts
+    ids = []
+
+    def parse(entry):  # the logged response stands in for the route
+        ids.append(Query(id=entry["request"]["id"]).id)
+        return remote.parse_speculate_response(entry["response"], config.backend.top_logprobs)
+
     # both remote names are looked up on the module, where perfbench's tracer wraps them
-    for entry in remote.iter_exchanges(args.log):
-        if entry["route"] == "/speculate":
-            query = Query(id=entry["request"]["id"])
-            # the logged response stands in for the route, which _draft calls at once
-            drafts[query.id] = _draft(
-                lambda _: remote.parse_speculate_response(entry["response"], top_logprobs), query, score
-            )
+    entries = (entry for entry in remote.iter_exchanges(args.log) if entry["route"] == "/speculate")
+    results = _drafts(parse, entries, score)
+    drafts = dict(zip(ids, results))  # by id: the last entry counts
     if not drafts:
         raise ValidationError(f"no /speculate exchanges found in {args.log}")
     rows = [[qid, answer, *scored] for qid, (answer, scored, _) in sorted(drafts.items()) if scored is not None]

@@ -8,8 +8,8 @@ in pipeline; this module holds the stage runner, the schedule and the batch
 statistics. One runner and one schedule serve both clocks: every stage
 gives each call, in input order, to the earliest free worker. Measured mode
 runs the calls on real threads, the calling thread among them, and
-reports wall-clock stage times. Simulated mode runs each stage's calls in
-turn and, as the stage returns, schedules the costs they reported on a
+reports wall-clock stage times. Simulated mode runs a whole stage in one
+call and, as the stage returns, schedules the costs it reported on a
 virtual clock, so results are hardware independent; its bypass-off
 baseline reuses the agentic cost of every query the funnel did not accept
 and runs the agentic loop again only for the accepted ones.
@@ -103,6 +103,8 @@ class FunnelStats:
             raise ValidationError("batch makespan must equal frontend plus fallback makespan")
         if self.baseline_makespan_s is None and self.speedup is not None:
             raise ValidationError("speedup is undefined without a baseline makespan")
+        if self.batch_makespan_s == 0.0 and self.speedup is not None:
+            raise ValidationError("speedup is undefined for a zero makespan")
 
 
 def speedup_model(beta: float, alpha: float) -> float:
@@ -161,11 +163,11 @@ def _build_stats(outcomes, stage_s, baseline_s) -> FunnelStats:
 def _clock(schedule: ScheduleConfig):
     """The schedule's stage runner and the stage times it fills in.
 
-    Measured mode runs a stage on as many threads as the front end or the
-    agentic drain has workers, at most one per call, and times it; see
-    _run_threaded. Simulated mode runs it in turn on the calling thread and
-    schedules the costs its calls reported over the same worker count in
-    the order the threads take them, each to the earliest free worker.
+    Measured mode calls the stage function with one item at a time, on as
+    many threads as the front end or the agentic drain has workers, and
+    times the stage; see _run_threaded. Simulated mode calls it once, with
+    every item, and schedules their costs over the same worker count in the
+    order the threads take them, each to the earliest free worker.
     """
     stage_s = {"judge": 0.0, "speculate": 0.0, "agentic": 0.0}
 
@@ -175,10 +177,10 @@ def _clock(schedule: ScheduleConfig):
         workers = schedule.agentic_workers if stage == "agentic" else schedule.frontend_workers
         if schedule.mode is ScheduleMode.MEASURED:
             start = time.perf_counter()
-            results = _run_threaded(fn, items, workers)
+            results = _run_threaded(lambda item: fn([item])[0], items, workers)
             stage_s[stage] = time.perf_counter() - start
         else:
-            results = [fn(item) for item in items]
+            results = fn(items)
             stage_s[stage] = _list_schedule_makespan([result[-1] for result in results], workers)
         return results
 

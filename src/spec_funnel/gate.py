@@ -9,11 +9,12 @@ the draft answer or fall back to the slow path. A probability-based scorer
 baseline mode.
 
 An answer's logits travel packed as one AnswerLogits array, validated once,
-and gate() scores all of its tokens with row reductions. The tests hold it
-to one-token reference forms, token_separability, max_softmax_prob and
-log_confidence, in tests/oracles.py.
+and gate_batch() scores many answers' tokens in one pass of row reductions.
+The tests hold it to one-token reference forms, token_separability,
+max_softmax_prob and log_confidence, in tests/oracles.py.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +35,7 @@ __all__ = [
     "aggregate",
     "normalize",
     "gate",
+    "gate_batch",
 ]
 
 
@@ -223,38 +225,49 @@ def normalize(raw_score: float) -> float:
 
 
 def gate(answer: AnswerLogits | Sequence[TokenLogits], config: GateConfig) -> GateDecision:
-    """Score an answer and decide accept vs fallback at config.tau.
+    """Score an answer and decide accept vs fallback: gate_batch's batch of one."""
+    return gate_batch([answer], config)[0]
+
+
+def gate_batch(answers: Sequence[AnswerLogits | Sequence[TokenLogits]], config: GateConfig) -> list[GateDecision]:
+    """Score each answer and decide accept vs fallback at config.tau.
 
     Empty answers never pass: they yield a FALLBACK decision with score 0
     and an "empty_answer" diagnostic rather than raising, so callers can
     always fall through to the slow path. For margin-based modes the
     token_scores trace holds raw separabilities; for LOG_CONF it holds the
     per-token max-softmax probabilities and the score is the geometric mean
-    itself (already inside (0, 1]), with no extra sigmoid. A sequence of
-    TokenLogits is packed first; every token is then scored by row
-    reductions, with the same floats the one-token token_separability,
-    max_softmax_prob and log_confidence of tests/oracles.py give.
+    itself (already inside (0, 1]), with no extra sigmoid. Every answer's
+    rows, a sequence of TokenLogits packed first, are stacked with -inf
+    padding and scored by one pass of row reductions, with the floats that
+    tests/oracles.py's one-token forms give.
     """
-    if not isinstance(answer, AnswerLogits):
-        answer = AnswerLogits.from_tokens(answer)
-    lengths = answer.lengths.tolist()
+    answers = [a if isinstance(a, AnswerLogits) else AnswerLogits.from_tokens(a) for a in answers]
+    lengths = [a.lengths.tolist() for a in answers]
+    flat = [n for counts in lengths for n in counts]
+    values = np.full((len(flat), max((a.values.shape[1] for a in answers), default=0)), -np.inf)
+    for a, end in zip(answers, itertools.accumulate(map(len, answers))):
+        values[end - len(a) : end, : a.values.shape[1]] = a.values
+    if config.aggregation is Scoring.LOG_CONF:
+        scores = iter(_by_window(values, flat, _softmax_sums))
+    else:
+        windows = [min(n, config.k) for n in flat]
+        scores = iter(_by_window(values, windows, lambda rows: _separabilities(rows, config.epsilon)))
+    return [_decision([next(scores) for _ in counts], counts, config) for counts in lengths]
+
+
+def _decision(scores: list[float], lengths: list[int], config: GateConfig) -> GateDecision:
+    """One answer's decision from its tokens' separabilities, or softmax sums for LOG_CONF."""
     if not lengths:
         return GateDecision(Verdict.FALLBACK, 0.0, (), ("empty_answer",))
-    diagnostics = ()
+    clamped = config.aggregation is not Scoring.LOG_CONF and min(lengths) < config.k
     if config.aggregation is Scoring.LOG_CONF:
-        sums = _by_window(answer.values, lengths, _softmax_sums)
-        token_scores = [1.0 / s for s in sums]
-        score = math.exp(math.fsum([-math.log(s) for s in sums]) / len(sums))
+        score = math.exp(math.fsum([-math.log(s) for s in scores]) / len(scores))
+        scores = [1.0 / s for s in scores]
     else:
-        if min(lengths) < config.k:
-            diagnostics = ("top_k_clamped",)
-        windows = [min(n, config.k) for n in lengths]
-        token_scores = _by_window(
-            answer.values, windows, lambda rows: _separabilities(rows, config.epsilon)
-        )
-        score = normalize(aggregate(token_scores, config.aggregation, config.bottom_ratio))
+        score = normalize(aggregate(scores, config.aggregation, config.bottom_ratio))
     verdict = Verdict.ACCEPT if score >= config.tau else Verdict.FALLBACK
-    return GateDecision(verdict, float(score), tuple(token_scores), diagnostics)
+    return GateDecision(verdict, float(score), tuple(scores), ("top_k_clamped",) if clamped else ())
 
 
 def _by_window(values: np.ndarray, windows: list[int], score_rows) -> list[float]:

@@ -11,6 +11,8 @@ process_query is a batch of one. Every phase's latency is recorded
 separately.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +20,8 @@ from enum import Enum
 from .backends.base import Backend, Query
 from .bounds import UNIT, Range, check
 from .errors import BackendUnavailable, ValidationError
-from .gate import GateConfig, GateDecision, gate
+# gate stays importable here: perfbench/tracing.py wraps pipeline.gate by name
+from .gate import GateConfig, GateDecision, gate, gate_batch  # noqa: F401
 
 __all__ = [
     "QueryPath",
@@ -91,16 +94,27 @@ def _judge(judge, query: Query) -> tuple[int | None, float]:
 
 
 _NO_DRAFT = ("", None, 0.0)
+_DRAFT_BLOCK = 64  # drafts gated together: one block's logits are all a stage holds
 
 
-def _draft(speculate, query: Query, score) -> tuple[str, object, float]:
-    """Phases II and III: (answer, score(token_logits), cost). The caller's
-    score gates the draft; a failed draft gives a None score."""
+def _drafts(speculate, items, score) -> list[tuple[str, object, float]]:
+    """Phases II and III: (answer, score, cost) per item, in order, None the
+    score of a failed draft. Items are pulled and drafted _DRAFT_BLOCK at a
+    time, and score maps a block's parsed token logits to one result each."""
+    drafts = (_parsed(speculate, item) for item in items)
+    results = []
+    while block := list(itertools.islice(drafts, _DRAFT_BLOCK)):
+        scores = iter(score([d.token_logits for d in block if d is not None]))
+        results += [_NO_DRAFT if d is None else (d.answer, next(scores), d.latency_s) for d in block]
+        del block  # released before the next block is drafted
+    return results
+
+
+def _parsed(speculate, item):
     try:
-        draft = speculate(query)
+        return speculate(item)
     except BackendUnavailable:
-        return _NO_DRAFT
-    return draft.answer, score(draft.token_logits), draft.latency_s
+        return None
 
 
 def _fallback(agentic_run, query: Query) -> tuple[str, str | None, float]:
@@ -120,6 +134,7 @@ def _outcome(query, g, judge_s, draft_answer, decision, speculate_s, fallback) -
         path = QueryPath.TOOL_REQUIRED_FALLBACK if g != 0 else QueryPath.SPECULATION_REJECTED_FALLBACK
         answer, error, agentic_s = fallback
     latency = LatencyBreakdown(judge_s=judge_s, speculate_s=speculate_s, agentic_s=agentic_s)
+    ungraded = error is not None or query.ground_truth is None
     return QueryOutcome(
         query_id=query.id,
         answer=answer,
@@ -127,55 +142,44 @@ def _outcome(query, g, judge_s, draft_answer, decision, speculate_s, fallback) -
         gate=decision if g == 0 else None,
         latency=latency,
         total_latency_s=latency.total_s,
-        correct=(
-            None
-            if error is not None or query.ground_truth is None
-            else answers_match(answer, query.ground_truth)
-        ),
+        correct=None if ungraded else answers_match(answer, query.ground_truth),
         error=error,
     )
 
 
 def _in_order(stage: str, fn, items: list) -> list:
-    """Stage runner that applies fn to each item in turn on the calling thread."""
-    return [fn(item) for item in items]
+    """Stage runner that calls fn once, with every item, on the calling thread."""
+    return fn(items)
 
 
-def run_phases(
-    queries, gate_config: GateConfig | None, backend: Backend, run_stage=_in_order
-) -> list[QueryOutcome]:
+def run_phases(queries, gate_config: GateConfig | None, backend: Backend, run_stage=_in_order) -> list[QueryOutcome]:
     """Run a batch through the four phases, one stage at a time.
 
-    run_stage(stage, fn, queries) applies fn to every query of one stage,
-    "judge", "speculate" or "agentic", and returns the results in order;
-    it decides how the calls are spread over workers and timed. Each
-    result is a tuple whose last item is the cost the call reported, in
-    seconds, and 0.0 for a failed call. Judge and draft failures degrade to
-    fallback, and an agentic failure becomes the outcome's error. A
-    gate_config of None turns bypass off: nothing is judged or drafted and
-    every query takes the tool-required path.
+    run_stage(stage, fn, queries) maps every query of one stage, "judge",
+    "speculate" or "agentic", to its result, in order, by calls of fn, which
+    maps a list of queries to theirs; it decides how the queries are split
+    over calls, workers and time. Each result ends with the cost the call
+    reported, in seconds, and 0.0 for a failed call. Judge and draft
+    failures degrade to fallback, and an agentic failure becomes the
+    outcome's error. A gate_config of None turns bypass off: nothing is
+    judged or drafted and every query takes the tool-required path.
     Outcomes come back in input order.
     """
     queries = list(queries)
     if gate_config is None:
         verdicts = [(1, 0.0)] * len(queries)
     else:
-        verdicts = run_stage("judge", lambda q: _judge(backend.judge, q), queries)
+        verdicts = run_stage("judge", lambda qs: [_judge(backend.judge, q) for q in qs], queries)
     toolfree = [i for i, (g, _) in enumerate(verdicts) if g == 0]
-    drafted = run_stage(
-        "speculate",
-        lambda q: _draft(backend.speculate, q, lambda logits: gate(logits, gate_config)),
-        [queries[i] for i in toolfree],
-    )
+    score = functools.partial(gate_batch, config=gate_config)
+    drafted = run_stage("speculate", lambda qs: _drafts(backend.speculate, qs, score), [queries[i] for i in toolfree])
     drafts = dict(zip(toolfree, drafted))
     accepted = {i for i, (_, decision, _) in drafts.items() if decision and decision.accepted}
     residual = [i for i in range(len(queries)) if i not in accepted]
-    fallen = run_stage("agentic", lambda q: _fallback(backend.agentic_run, q), [queries[i] for i in residual])
+    residual_queries = [queries[i] for i in residual]
+    fallen = run_stage("agentic", lambda qs: [_fallback(backend.agentic_run, q) for q in qs], residual_queries)
     fallbacks = dict(zip(residual, fallen))
-    return [
-        _outcome(query, *verdicts[i], *drafts.get(i, _NO_DRAFT), fallbacks.get(i))
-        for i, query in enumerate(queries)
-    ]
+    return [_outcome(q, *verdicts[i], *drafts.get(i, _NO_DRAFT), fallbacks.get(i)) for i, q in enumerate(queries)]
 
 
 def process_query(query: Query, gate_config: GateConfig, backend: Backend) -> QueryOutcome:

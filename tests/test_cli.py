@@ -702,6 +702,9 @@ BROKEN_STATS = {
         frontend_makespan_s=s["frontend_makespan_s"] + 1.0
     ),
     "speedup is undefined without a baseline makespan": lambda s: s.update(baseline_makespan_s=None),
+    "speedup is undefined for a zero makespan": lambda s: s.update(
+        {k: 0.0 for k in s if k.endswith("makespan_s") and k != "baseline_makespan_s"}, throughput_qps=None
+    ),
     # counts and makespans out of range, checked before the identities above
     "batch_size must lie in [1, inf)": lambda s: s.update({k: 0 for k in s if k == "batch_size" or k.startswith("n_")}),
     "n_toolfree must lie in [0, inf)": lambda s: s.update(n_toolfree=-1, n_toolreq=s["n_toolreq"] + 1),

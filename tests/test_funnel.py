@@ -620,7 +620,7 @@ class TestMeasuredStageRunner:
         delay_s = {q.id: 0.002 * (len(queries) - i) for i, q in enumerate(queries)}
         backend = RecordingBackend(inner, together=4, delay_s=delay_s)
         run_stage, stage_s = _clock(_measured(frontend_workers=4))
-        assert run_stage("judge", backend.judge, queries) == [inner.judge(q) for q in queries]
+        assert run_stage("judge", lambda qs: [backend.judge(q) for q in qs], queries) == [inner.judge(q) for q in queries]
         assert stage_s["judge"] > 0.0
         assert backend.returned != [q.id for q in queries]  # calls returned out of order
 
@@ -630,7 +630,7 @@ class TestMeasuredStageRunner:
         backend = RecordingBackend(SyntheticBackend(synthetic_config), together=min(workers, n))
         run_stage, _ = _clock(_measured(frontend_workers=workers))
         before = set(threading.enumerate())
-        run_stage("judge", backend.judge, queries)
+        run_stage("judge", lambda qs: [backend.judge(q) for q in qs], queries)
         threads = {thread for _, _, thread in backend.calls}
         assert len(backend.calls) == n
         assert len(threads) == min(workers, n)
@@ -651,7 +651,7 @@ class TestMeasuredStageRunner:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = run_stage("judge", fn, items)
+            results = run_stage("judge", lambda batch: [fn(item) for item in batch], items)
         finally:
             sys.setswitchinterval(interval)
         assert results == [item * item for item in items]
@@ -687,7 +687,7 @@ class TestMeasuredStageRunner:
         )
         run_stage, _ = _clock(_measured(frontend_workers=2))
         with pytest.raises(RuntimeError):
-            run_stage("judge", backend.judge, queries)
+            run_stage("judge", lambda qs: [backend.judge(q) for q in qs], queries)
         # item 1's call outlasts item 0's failure, and its thread stops after it
         assert [qid for _, qid, _ in backend.calls] in ([q.id for q in queries[:2]], [q.id for q in queries[1::-1]])
 
@@ -696,7 +696,7 @@ class TestMeasuredStageRunner:
         backend = RecordingBackend(SyntheticBackend(synthetic_config), fail={queries[5].id})
         run_stage, _ = _clock(_measured(agentic_workers=1))
         with pytest.raises(RuntimeError):
-            run_stage("agentic", backend.agentic_run, queries)
+            run_stage("agentic", lambda qs: [backend.agentic_run(q) for q in qs], queries)
         assert [qid for _, qid, _ in backend.calls] == [q.id for q in queries[:6]]
 
     def test_single_agentic_worker_drains_on_the_calling_thread(self, synthetic_config, gate_config):
@@ -745,9 +745,9 @@ class TestSimulatedClockBoundsMeasured:
             return (cost,)
 
         run_measured, measured = _clock(_measured(frontend_workers=workers, agentic_workers=workers))
-        run_measured(stage, fn, costs)
+        run_measured(stage, lambda batch: [fn(cost) for cost in batch], costs)
         run_simulated, simulated = _clock(ScheduleConfig(frontend_workers=workers, agentic_workers=workers))
-        run_simulated(stage, lambda cost: (cost,), costs)
+        run_simulated(stage, lambda batch: [(cost,) for cost in batch], costs)
         assert 0.0 < simulated[stage] <= measured[stage]
 
 

@@ -1,6 +1,6 @@
 """Property tests for the gating math: ordering, invariances, the min-guard
 biconditional, agreement with extended-precision re-implementations, and
-the packed gate against the one-token reference functions."""
+the packed and batched gate against the one-token reference functions."""
 
 import math
 
@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spec_funnel.backends.base import SpeculativeAnswer
+from spec_funnel.errors import BackendUnavailable
 from spec_funnel.gate import (
     AnswerLogits,
     GateConfig,
@@ -18,8 +20,10 @@ from spec_funnel.gate import (
     Verdict,
     aggregate,
     gate,
+    gate_batch,
     normalize,
 )
+from spec_funnel.pipeline import _DRAFT_BLOCK, _NO_DRAFT, _drafts
 
 from oracles import from_raw, log_confidence, logit, max_softmax_prob, token_separability
 
@@ -280,6 +284,80 @@ class TestPackedGate:
             packed = rows[:, :window].sum(axis=1)
             one_by_one = np.array([row[:window].sum() for row in rows])
             assert packed.tobytes() == one_by_one.tobytes()
+
+
+def ragged_answer(rng, width, n_rows, scale, offset):
+    """(tokens, packed): n_rows tokens of 1 to width logits, or all width
+    long, as a tuple of TokenLogits and as an AnswerLogits of that width."""
+    if rng.random() < 0.5:
+        lengths = rng.integers(1, width + 1, size=n_rows)
+    else:
+        lengths = np.full(n_rows, width)
+    kinds = rng.choice(["spread", "flat", "ties"], size=n_rows, p=[0.6, 0.2, 0.2])
+    tokens = tuple(
+        TokenLogits(ragged_row(rng, n, kind, scale, offset)) for n, kind in zip(lengths.tolist(), kinds)
+    )
+    values = np.full((n_rows, width), -np.inf)
+    for row, token in zip(values, tokens):
+        row[: len(token)] = token.values
+    return tokens, AnswerLogits(values, lengths)
+
+
+@st.composite
+def answer_batches(draw):
+    """0-150 answers of widths 2-70, about one in ten of them empty, each as
+    (tokens, packed)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(min_value=1e-6, max_value=1e3))
+    offset = draw(st.floats(min_value=-30.0, max_value=0.0))
+    return [
+        ragged_answer(rng, int(rng.integers(2, 71)), 0 if rng.random() < 0.1 else int(rng.integers(1, 9)), scale, offset)
+        for _ in range(draw(st.integers(0, 150)))
+    ]
+
+
+class TestGateBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=answer_batches(), k=st.integers(2, 70), ratio=st.floats(min_value=0.01, max_value=0.99))
+    def test_gate_batch_equals_the_one_token_reference(self, batch, k, ratio):
+        # rows of every answer stacked in one array, the narrower padded with
+        # -inf, score as each answer does alone; k=80 is above every width
+        for window in (k, 80):
+            for mode in Scoring:
+                config = GateConfig(k=window, aggregation=mode, bottom_ratio=ratio)
+                expected = [reference_gate(tokens, config) for tokens, _ in batch]
+                assert repr(gate_batch([packed for _, packed in batch], config)) == repr(expected)
+                assert repr(gate_batch([tokens for tokens, _ in batch], config)) == repr(expected)
+
+    @pytest.mark.parametrize("n_items", [0, 1, 63, 64, 65, 129])
+    def test_drafts_equal_each_item_drafted_alone(self, n_items):
+        rng = np.random.default_rng(n_items)
+        drafts = [
+            SpeculativeAnswer(f"a{i}" if i % 5 else "", ragged_answer(rng, int(rng.integers(2, 71)), i % 5, 1.0, 0.0)[1], 0.01 * i)
+            for i in range(n_items)
+        ]
+        failing = {0, 63, 64} | set(range(90, 100))
+
+        def speculate(i):
+            if i in failing:
+                raise BackendUnavailable(f"draft {i} down")
+            return drafts[i]
+
+        config = GateConfig(k=8)
+        blocks = []
+
+        def score(answers):
+            blocks.append(len(answers))
+            return gate_batch(answers, config)
+
+        expected = [
+            _NO_DRAFT if i in failing else (d.answer, gate(d.token_logits, config), d.latency_s)
+            for i, d in enumerate(drafts)
+        ]
+        assert repr(_drafts(speculate, iter(range(n_items)), score)) == repr(expected)
+        # one score call per block of pulled items, on the drafts that parsed
+        assert len(blocks) == math.ceil(n_items / _DRAFT_BLOCK)
+        assert sum(blocks) == n_items - len(failing & set(range(n_items)))
 
 
 # a window of these can overflow a sum or a gap between two of its logits
