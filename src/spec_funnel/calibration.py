@@ -43,6 +43,7 @@ __all__ = [
 
 KDE_GRID_SIZE = 512
 _KDE_BLOCK_ROWS = 32
+_KDE_Z = 40.0  # exp(-_KDE_Z**2 / 2) = exp(-800) is exactly 0.0 in float64
 
 
 @dataclass(frozen=True)
@@ -186,10 +187,19 @@ class DensityEstimate:
         return float(self.grid[int(np.argmax(self.density))])
 
 
+def _quantile(x: np.ndarray, q: float) -> float:
+    """np.percentile's default ("linear") q-quantile, 0 <= q < 1, of the
+    sorted x, step for step, without the np.unique call that imports numpy.ma."""
+    index = (x.size - 1) * q
+    i = math.floor(index)
+    a, b = float(x[i]), float(x[i + 1])
+    gamma, diff = index - i, b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 def _silverman_bandwidth(x: np.ndarray) -> float:
     sd = float(x.std())
-    q75, q25 = np.percentile(x, [75, 25])
-    iqr = float(q75 - q25)
+    iqr = _quantile(x, 0.75) - _quantile(x, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     return 0.9 * spread * x.size ** (-0.2)
 
@@ -199,7 +209,15 @@ def kde(scores, bandwidth: float | None = None) -> DensityEstimate:
 
     Bandwidth defaults to Silverman's rule 0.9 * min(sd, IQR/1.34) * n^(-1/5).
     Mass falling outside [0, 1] is folded back by reflection at both
-    boundaries, so the density integrates to ~1 on the grid.
+    boundaries, so the density integrates to ~1 on the grid. Scores must lie
+    in [0, 1]; a density that is 0.0 on the whole grid (a bandwidth far below
+    the gaps between scores and grid points) or that overflows is degenerate.
+
+    A block of 32 grid rows is skipped for a point set (a 2048-point chunk or
+    one of its reflections) when its nearest z = (g - p) / h lies past _KDE_Z:
+    rounding is monotone, so every z of the block does, and the block would
+    add exactly 0.0. Rows receive their point sets in the same order, so the
+    density keeps every bit.
     """
     h = None if bandwidth is None else float(bandwidth)
     check(Range(0, open=True), bandwidth=h)
@@ -207,6 +225,8 @@ def kde(scores, bandwidth: float | None = None) -> DensityEstimate:
     x = np.sort(np.asarray(list(scores), dtype=np.float64))
     if x.size < 2:
         raise DegenerateDistribution("need at least 2 scores")
+    # sorted with NaN last, so the two ends lie in [0, 1] only if every score does
+    check(UNIT, scores={"min": x[0], "max": x[-1]})
     if float(x.std()) == 0.0:
         raise DegenerateDistribution("scores have zero variance (point mass)")
     if h is None:
@@ -214,20 +234,27 @@ def kde(scores, bandwidth: float | None = None) -> DensityEstimate:
         if h <= 0.0:
             raise DegenerateDistribution("bandwidth collapsed to zero")
     grid = np.linspace(0.0, 1.0, KDE_GRID_SIZE)
+    starts, ends = grid[::_KDE_BLOCK_ROWS], grid[_KDE_BLOCK_ROWS - 1 :: _KDE_BLOCK_ROWS]
     density = np.zeros(KDE_GRID_SIZE)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
-    for chunk_start in range(0, x.size, 2048):
-        chunk = x[chunk_start : chunk_start + 2048]
-        # grid rows in blocks, so the temporaries are one block by one chunk
-        # whatever n is; each row still sums its whole chunk in one pairwise
-        # sum, which keeps every bit of the density
-        for row in range(0, KDE_GRID_SIZE, _KDE_BLOCK_ROWS):
-            rows = slice(row, row + _KDE_BLOCK_ROWS)
+    # a tiny h overflows z or z * z to inf, whose kernel value is exactly 0.0,
+    # and a subnormal one can overflow the normalized density
+    with np.errstate(over="ignore"):
+        for chunk_start in range(0, x.size, 2048):
+            chunk = x[chunk_start : chunk_start + 2048]
             # source points plus their reflections across 0 and 1
             for points in (chunk, -chunk, 2.0 - chunk):
-                z = (grid[rows, None] - points[None, :]) / h
-                density[rows] += norm * np.exp(-0.5 * z * z).sum(axis=1)
-    density /= x.size * h
+                near = ((starts - points.max()) / h <= _KDE_Z) & ((ends - points.min()) / h >= -_KDE_Z)
+                # grid rows in blocks, so the temporaries are one block by one
+                # chunk whatever n is; each row still sums its whole chunk in
+                # one pairwise sum, which keeps every bit of the density
+                for row in np.flatnonzero(near).tolist():
+                    rows = slice(row * _KDE_BLOCK_ROWS, (row + 1) * _KDE_BLOCK_ROWS)
+                    z = (grid[rows, None] - points[None, :]) / h
+                    density[rows] += norm * np.exp(-0.5 * z * z).sum(axis=1)
+        density /= x.size * h
+    if not density.any() or np.isinf(density).any():
+        raise DegenerateDistribution("bandwidth too small: the density is 0.0 on the whole grid or overflows")
     return DensityEstimate(grid=grid, density=density, bandwidth=h)
 
 

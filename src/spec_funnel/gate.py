@@ -239,15 +239,19 @@ def gate_batch(answers: Sequence[AnswerLogits | Sequence[TokenLogits]], config: 
     per-token max-softmax probabilities and the score is the geometric mean
     itself (already inside (0, 1]), with no extra sigmoid. Every answer's
     rows, a sequence of TokenLogits packed first, are stacked with -inf
-    padding and scored by one pass of row reductions, with the floats that
-    tests/oracles.py's one-token forms give.
+    padding (one answer's are used as they are) and scored by one pass of
+    row reductions, with the floats that tests/oracles.py's one-token forms
+    give.
     """
     answers = [a if isinstance(a, AnswerLogits) else AnswerLogits.from_tokens(a) for a in answers]
     lengths = [a.lengths.tolist() for a in answers]
     flat = [n for counts in lengths for n in counts]
-    values = np.full((len(flat), max((a.values.shape[1] for a in answers), default=0)), -np.inf)
-    for a, end in zip(answers, itertools.accumulate(map(len, answers))):
-        values[end - len(a) : end, : a.values.shape[1]] = a.values
+    if len(answers) == 1:  # measured mode's batch of one: no copy
+        values = answers[0].values
+    else:
+        values = np.full((len(flat), max((a.values.shape[1] for a in answers), default=0)), -np.inf)
+        for a, end in zip(answers, itertools.accumulate(map(len, answers))):
+            values[end - len(a) : end, : a.values.shape[1]] = a.values
     if config.aggregation is Scoring.LOG_CONF:
         scores = iter(_by_window(values, flat, _softmax_sums))
     else:

@@ -16,7 +16,10 @@ from spec_funnel.calibration import (
     CostSummary,
     OperatingPoint,
     ScoreSample,
+    _quantile,
+    _silverman_bandwidth,
     choose_threshold,
+    class_densities,
     collect_score_sets,
     collect_scores,
     default_tau_grid,
@@ -144,6 +147,64 @@ class TestKde:
         expected = unblocked_kde_density(np.sort(scores), estimate.bandwidth)
         assert estimate.density.tobytes() == expected.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 300), st.integers(2040, 2060)),
+        width=st.floats(0.001, 0.05),
+        place=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        bandwidth=st.one_of(st.none(), st.floats(-4.0, 0.0).map(lambda e: 10.0**e)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_the_unblocked_loop_on_clustered_scores(self, n, width, place, bandwidth, seed):
+        # a narrow band leaves most blocks of grid rows too far from every
+        # point, and from each reflection, to be evaluated
+        x = np.sort(place * (1.0 - width) + width * np.random.default_rng(seed).random(n))
+        try:
+            density = kde(x, bandwidth).density
+        except DegenerateDistribution:
+            # a few scores in a narrow band can give a Silverman bandwidth
+            # too small for any kernel to reach a grid point
+            density = np.zeros(KDE_GRID_SIZE)
+        expected = unblocked_kde_density(x, bandwidth or _silverman_bandwidth(x))
+        assert density.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            # no -0.0: np.percentile's partition may order it either way
+            # against an equal 0.0, so numpy's own quartile takes either sign
+            st.one_of(
+                st.floats(-1.0, 1.0).map(lambda v: v + 0.0),
+                st.sampled_from([0.0, 5e-324, -5e-324, 2.2e-308, 0.5, 1.0]),
+            ),
+            min_size=2,
+            max_size=300,
+        )
+    )
+    def test_quartiles_equal_numpys_percentile(self, values):
+        x = np.sort(np.array(values))
+        q75, q25 = np.percentile(x, [75, 25])
+        assert (_quantile(x, 0.75).hex(), _quantile(x, 0.25).hex()) == (float(q75).hex(), float(q25).hex())
+        assert (_quantile(x, 0.75) - _quantile(x, 0.25)).hex() == float(q75 - q25).hex()
+
+    @pytest.mark.parametrize(
+        "scores, bandwidth",
+        [([0.1, 0.5, 0.6], 1e-100), ([0.1, 0.5, 0.6], 1e-200), ([0.0, 0.5, 0.6], 5e-324)],
+        ids=["all-zero", "z-squared-overflows", "normalized-density-overflows"],
+    )
+    def test_tiny_bandwidth_is_degenerate(self, scores, bandwidth):
+        # an all-zero density read as a peak at 0.0, an overflow raised a
+        # RuntimeWarning; a subnormal bandwidth over a score on a grid point
+        # divides the density past the float range
+        with pytest.raises(DegenerateDistribution, match="bandwidth too small"):
+            kde(scores, bandwidth)
+
+    def test_class_densities_drop_a_class_whose_density_vanishes(self):
+        # 0.0 and 1.0 are grid points, so that class keeps a density at 1e-100
+        correct, incorrect, distance = class_densities([0.0, 0.5, 1.0], [0.1, 0.5, 0.6], 1e-100)
+        assert correct is not None and correct.density.max() > 0.0
+        assert incorrect is None and distance is None
+
     def test_transient_memory_does_not_grow_with_n(self):
         # the unblocked loop peaks at about 24 MiB here: 512 x 2048 doubles,
         # three of them alive at once
@@ -244,18 +305,25 @@ class TestSweepThreshold:
             (lambda s: kde([0.2, 0.5, 0.7], bandwidth=math.inf), "bandwidth"),
             (lambda s: kde([0.2, 0.5, 0.7], bandwidth=-1.0), "bandwidth"),
             (lambda s: kde([0.2, 0.5, 0.7], bandwidth="nan"), "bandwidth"),
+            (lambda s: kde([math.nan, 0.5, 0.6]), r"scores\.max"),
+            (lambda s: kde([0.5, math.inf, 0.6]), r"scores\.max"),
+            (lambda s: kde([0.5, -math.inf, 0.6]), r"scores\.min"),
+            (lambda s: kde([0.5, 1e308, 0.6]), r"scores\.max"),
+            (lambda s: kde([0.5, -1e308, 0.6]), r"scores\.min"),
             (lambda s: peak_distance([0.8, 0.9, 0.95], [0.1, 0.3, 0.4], math.nan), "bandwidth"),
             (lambda s: sweep_threshold(s, [math.nan], CostSummary(0.1, 0.5, 10.0), 0.8, 0.9), r"taus\[0\]"),
             (lambda s: choose_threshold(sweep_threshold(s, [0.5], CostSummary(0.1, 0.5, 10.0), 0.8, 0.9), math.nan),
              "baseline_accuracy"),
         ],
         ids=[
-            "kde-nan", "kde-inf", "kde-negative", "kde-nan-string", "peak_distance-nan", "sweep-nan-tau",
+            "kde-nan", "kde-inf", "kde-negative", "kde-nan-string", "kde-nan-score", "kde-inf-score",
+            "kde-minus-inf-score", "kde-1e308-score", "kde-minus-1e308-score", "peak_distance-nan", "sweep-nan-tau",
             "choose-nan-baseline",
         ],
     )
     def test_non_finite_argument_rejected(self, call, name):
-        # each returned a NaN, all-zero or silently flagged result, or blamed a collapsed bandwidth
+        # each returned a NaN, all-zero or silently flagged result, blamed a
+        # collapsed bandwidth, or raised a RuntimeWarning on an overflow
         with pytest.raises(ValidationError, match=rf"^{name} must lie in "):
             call(self.samples())
 

@@ -4,8 +4,10 @@ reproducibility, exit codes, and pinned CSV headers."""
 import json
 import math
 import operator
+import os
 import runpy
 import shutil
+import subprocess
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -282,6 +284,28 @@ class TestCalibrateCommand:
         assert (out / "union_bound.csv").exists()
         acceptance = [float(r[1]) for r in rows]
         assert all(b <= a for a, b in zip(acceptance, acceptance[1:]))
+
+    @pytest.mark.parametrize("bandwidth", ["1e-200", "1e-100"])
+    def test_tiny_bandwidth_drops_both_densities(self, tmp_path, bandwidth):
+        # 1e-200 overflowed z * z, a RuntimeWarning; 1e-100 wrote all-zero
+        # KDE files and a delta_peak of 0.0
+        out = tmp_path / "cal"
+        args = ["--seed", "1", "--set", "workload.n_queries=300", "--set", f"calibration.bandwidth={bandwidth}"]
+        assert main(["calibrate", "--out", str(out), *args]) == 0
+        assert not (out / "kde_correct.csv").exists() and not (out / "kde_incorrect.csv").exists()
+        assert json.loads((out / "calibration.json").read_text(encoding="utf-8"))["delta_peak"] is None
+
+    def test_calibrate_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.percentile's np.unique imported numpy.ma, about 15 ms of every run
+        code = (
+            "import sys; from spec_funnel.cli import main; rc = main(sys.argv[1:]); "
+            "sys.exit(rc or ('numpy.ma' in sys.modules and 'numpy.ma was imported'))"
+        )
+        args = ["calibrate", "--out", str(tmp_path / "cal"), "--seed", "1", "--set", "workload.n_queries=300"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_chosen_tau_feeds_run(self, tmp_path):
         cal_dir, run_dir = tmp_path / "cal", tmp_path / "run"
